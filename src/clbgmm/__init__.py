@@ -12,6 +12,7 @@ from .bgmm import (
     log_likelihood_batch,
 )
 from .dataset import (
+    DataSplit,
     ExperimentManifest,
     FeatureTable,
     SyntheticConfig,
@@ -24,13 +25,12 @@ from .dataset import (
 )
 from .ensemble import (
     ClassConditionalEnsemble,
-    evaluate,
-    predict,
-    predict_scores,
+    FusionPipeline,
+    predict_batch,
     train_task,
 )
 from .errors import ClbgmmError, NumericalError, ValidationError
-from .fusion import FusedVector, MinMaxNormalizer, apply_normalizer, fit_normalizer, fuse
+from .fusion import MinMaxNormalizer, apply_normalizer, fit_normalizer, fuse
 from .metrics import (
     AccuracyMatrix,
     MetricsReport,

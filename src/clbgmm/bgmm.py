@@ -13,7 +13,7 @@ scoring is a plain mixture density over those plug-in parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky, cho_solve, eigh

@@ -1,7 +1,8 @@
 """Manifests, per-modality feature tables, task routing and synthetic data.
 
 Feature files are one CSV per modality with columns
-``sample_id,class,split,f_0,...,f_{D-1}``, joined on sample_id. The
+``sample_id,class,split,f_0,...,f_{D-1}``, joined on sample_id. Each is
+held as one (N, D) matrix with parallel id, class and split arrays. The
 manifest is a JSON document declaring the ordered task list, the modality
 files, the fusion strategy, the mixture configuration, seeds and the
 output path.
@@ -12,7 +13,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,33 +24,37 @@ from .errors import ValidationError
 
 
 @dataclass(frozen=True)
-class FeatureRow:
-    sample_id: str
-    class_label: str
-    split: str
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class FeatureTable:
-    """One modality's per-sample feature vectors with class/split labels."""
+    """One modality: an (N, dim) float64 matrix with parallel per-row arrays.
+
+    Row i of ``values`` belongs to ``sample_ids[i]``, ``class_labels[i]``
+    and ``splits[i]``; the three label arrays are object arrays of str.
+    """
 
     modality_name: str
     dim: int
-    rows: tuple
+    sample_ids: np.ndarray
+    class_labels: np.ndarray
+    splits: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
+        for name in ("sample_ids", "class_labels", "splits"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=object))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        n = len(self.sample_ids)
+        if self.values.shape != (n, self.dim) or not len(self.class_labels) == len(self.splits) == n:
+            raise ValidationError(
+                f"{self.modality_name}: {n} sample ids need {n} classes, {n} splits "
+                f"and values of shape ({n}, {self.dim}), got values of shape {self.values.shape}"
+            )
         seen = set()
-        for row in self.rows:
-            if row.vector.shape[0] != self.dim:
-                raise ValidationError(
-                    f"row {row.sample_id!r}: vector length {row.vector.shape[0]}, expected {self.dim}"
-                )
-            if row.sample_id in seen:
-                raise ValidationError(f"duplicate sample_id {row.sample_id!r}")
-            seen.add(row.sample_id)
-            if row.split not in ("train", "test"):
-                raise ValidationError(f"row {row.sample_id!r}: split must be train or test")
+        for sample_id, split in zip(self.sample_ids, self.splits):
+            if sample_id in seen:
+                raise ValidationError(f"duplicate sample_id {sample_id!r}")
+            seen.add(sample_id)
+            if split not in ("train", "test"):
+                raise ValidationError(f"row {sample_id!r}: split must be train or test")
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,12 @@ class ExperimentManifest:
 
 
 @dataclass(frozen=True)
-class Sample:
-    sample_id: str
-    class_label: str
-    vectors: dict  # modality name -> np.ndarray
+class DataSplit:
+    """One split of a task: parallel ids and labels, one matrix per modality."""
+
+    sample_ids: np.ndarray
+    class_labels: np.ndarray
+    features: dict        # modality name -> (N, D_m) float64 matrix
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,8 @@ class TaskBatch:
     task_index: int       # 1-based
     name: str
     class_set: frozenset
-    train_samples: tuple
-    test_samples: tuple
+    train: DataSplit
+    test: DataSplit
 
 
 @dataclass(frozen=True)
@@ -212,44 +220,78 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
 # ---------------------------------------------------------------------------
 
 def load_feature_table(path, expected_dim: int, modality_name: str | None = None) -> FeatureTable:
-    """Load one modality CSV, checking dimensions and sample_id uniqueness."""
+    """Load one modality CSV, checking dimensions and sample_id uniqueness.
+
+    The whole file is parsed in one numpy call. If that fails, or yields a
+    non-finite value, the file is parsed again row by row, which accepts
+    every cell Python's float() accepts and otherwise names the file, line
+    and column of the bad cell.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"feature file not found: {path}")
-    rows = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if header[:3] != ["sample_id", "class", "split"]:
-            raise ValidationError(f"{path}: header must start with sample_id,class,split")
-        n_features = len(header) - 3
-        if n_features != expected_dim:
-            raise ValidationError(
-                f"{path}: header declares {n_features} feature columns, expected {expected_dim}"
-            )
+        header = next(reader, None)
+        first_row = next(reader, None)
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    if header[:3] != ["sample_id", "class", "split"]:
+        raise ValidationError(f"{path}: header must start with sample_id,class,split")
+    n_features = len(header) - 3
+    if n_features != expected_dim:
+        raise ValidationError(
+            f"{path}: header declares {n_features} feature columns, expected {expected_dim}"
+        )
+    if first_row is None:
+        raise ValidationError(f"{path}: no data rows")
+    dtype = np.dtype([("sample_id", object), ("class", object), ("split", object),
+                      ("values", np.float64, (expected_dim,))])
+    try:
+        cells = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                           skiprows=1, ndmin=1, encoding="utf-8")
+    except ValueError:
+        cells = None
+    if cells is None or not np.isfinite(cells["values"]).all():
+        cells = _parse_rows(path, dtype)
+    return FeatureTable(
+        modality_name=modality_name or path.stem,
+        dim=expected_dim,
+        sample_ids=cells["sample_id"],
+        class_labels=cells["class"],
+        splits=cells["split"],
+        values=cells["values"],
+    )
+
+
+def _parse_rows(path: Path, dtype: np.dtype) -> np.ndarray:
+    """Row-by-row parse with float(); raises the file/line/column error."""
+    expected_dim = dtype["values"].shape[0]
+    records = []
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
         for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue  # blank line, skipped as np.loadtxt skips it
             if len(record) - 3 != expected_dim:
                 raise ValidationError(
                     f"{path} line {line_no}: {len(record) - 3} feature values, expected {expected_dim}"
                 )
             try:
-                vector = np.array([float(v) for v in record[3:]], dtype=np.float64)
+                vector = [float(v) for v in record[3:]]
             except ValueError:
                 bad = next(i for i, v in enumerate(record[3:]) if not _is_number(v))
                 raise ValidationError(
                     f"{path} line {line_no}, column f_{bad}: non-numeric value {record[3 + bad]!r}"
                 ) from None
-            rows.append(FeatureRow(
-                sample_id=record[0], class_label=record[1], split=record[2], vector=vector,
-            ))
-    return FeatureTable(
-        modality_name=modality_name or path.stem,
-        dim=expected_dim,
-        rows=tuple(rows),
-    )
+            bad = next((i for i, v in enumerate(vector) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise ValidationError(
+                    f"{path} line {line_no}, column f_{bad}: non-finite value {record[3 + bad]!r}"
+                )
+            records.append((record[0], record[1], record[2], vector))
+    return np.array(records, dtype=dtype)
 
 
 def _is_number(value: str) -> bool:
@@ -265,9 +307,9 @@ def write_feature_table(table: FeatureTable, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sample_id", "class", "split"] + [f"f_{i}" for i in range(table.dim)])
-        for row in table.rows:
-            writer.writerow([row.sample_id, row.class_label, row.split]
-                            + [repr(float(v)) for v in row.vector])
+        for sample_id, label, split, vector in zip(
+                table.sample_ids, table.class_labels, table.splits, table.values.tolist()):
+            writer.writerow([sample_id, label, split] + [repr(v) for v in vector])
 
 
 # ---------------------------------------------------------------------------
@@ -275,48 +317,59 @@ def write_feature_table(table: FeatureTable, path) -> None:
 # ---------------------------------------------------------------------------
 
 def build_task_sequence(manifest: ExperimentManifest, tables) -> list:
-    """Join modality tables on sample_id and route samples to their tasks."""
+    """Join modality tables on sample_id and route samples to their tasks.
+
+    Rows keep the first (primary) table's order within every task split.
+    """
     if len(tables) != len(manifest.modalities):
         raise ValidationError("one table per declared modality is required")
 
-    indexed = []
-    for spec, table in zip(manifest.modalities, tables):
-        indexed.append({row.sample_id: row for row in table.rows})
-
     primary = tables[0]
-    all_ids = set(indexed[0])
-    for spec, idx in zip(manifest.modalities[1:], indexed[1:]):
-        missing = all_ids.symmetric_difference(idx)
+    position = {sample_id: i for i, sample_id in enumerate(primary.sample_ids)}
+    aligned = [primary.values]
+    for table in tables[1:]:
+        missing = set(position).symmetric_difference(table.sample_ids)
         if missing:
             example = sorted(missing)[0]
             raise ValidationError(
                 f"alignment error: sample {example!r} is missing from some modality table"
             )
+        rows = np.empty(len(position), dtype=np.intp)  # primary row i is table row rows[i]
+        rows[[position[sample_id] for sample_id in table.sample_ids]] = np.arange(len(position))
+        consistent = ((table.class_labels[rows] == primary.class_labels)
+                      & (table.splits[rows] == primary.splits))
+        if not consistent.all():
+            example = primary.sample_ids[np.argmin(consistent)]
+            raise ValidationError(
+                f"alignment error: sample {example!r} has inconsistent class/split across modalities"
+            )
+        aligned.append(table.values[rows])
 
     owner = manifest.class_to_task()
-    buckets = [{"train": [], "test": []} for _ in manifest.tasks]
-    for row in primary.rows:
-        vectors = {}
-        for spec, idx in zip(manifest.modalities, indexed):
-            other = idx[row.sample_id]
-            if other.class_label != row.class_label or other.split != row.split:
-                raise ValidationError(
-                    f"alignment error: sample {row.sample_id!r} has inconsistent class/split across modalities"
-                )
-            vectors[spec.name] = other.vector
-        if row.class_label not in owner:
-            raise ValidationError(f"routing error: class {row.class_label!r} appears in no task")
-        sample = Sample(sample_id=row.sample_id, class_label=row.class_label, vectors=vectors)
-        buckets[owner[row.class_label]][row.split].append(sample)
+    task_of = np.array([owner.get(label, -1) for label in primary.class_labels], dtype=np.intp)
+    if (task_of < 0).any():
+        label = primary.class_labels[np.argmin(task_of)]
+        raise ValidationError(f"routing error: class {label!r} appears in no task")
+
+    names = [spec.name for spec in manifest.modalities]
+    is_train = primary.splits == "train"
+
+    def select(mask):
+        return DataSplit(
+            sample_ids=primary.sample_ids[mask],
+            class_labels=primary.class_labels[mask],
+            features={name: values[mask] for name, values in zip(names, aligned)},
+        )
 
     batches = []
-    for i, (task, bucket) in enumerate(zip(manifest.tasks, buckets)):
+    for i, task in enumerate(manifest.tasks):
+        in_task = task_of == i
         batches.append(TaskBatch(
             task_index=i + 1,
             name=task.name,
             class_set=frozenset(task.class_labels),
-            train_samples=tuple(bucket["train"]),
-            test_samples=tuple(bucket["test"]),
+            train=select(in_task & is_train),
+            test=select(in_task & ~is_train),
         ))
     return batches
 
@@ -360,19 +413,18 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     means_b = np.vstack([np.zeros((n_basic, config.dim_b)), compound_means_b]) \
         if n_compound else np.zeros((n_basic, config.dim_b))
 
-    rows_a, rows_b = [], []
+    ids, labels, splits, clouds_a, clouds_b = [], [], [], [], []
     for c, name in enumerate(names):
         for split, count in (("train", config.samples_per_class_train),
                              ("test", config.samples_per_class_test)):
-            cloud_a = means_a[c] + rng.normal(0.0, config.cluster_spread, (count, config.dim_a))
-            cloud_b = means_b[c] + rng.normal(0.0, config.cluster_spread, (count, config.dim_b))
-            for i in range(count):
-                sid = f"{name}_{split}_{i:04d}"
-                rows_a.append(FeatureRow(sid, name, split, cloud_a[i]))
-                rows_b.append(FeatureRow(sid, name, split, cloud_b[i]))
+            clouds_a.append(means_a[c] + rng.normal(0.0, config.cluster_spread, (count, config.dim_a)))
+            clouds_b.append(means_b[c] + rng.normal(0.0, config.cluster_spread, (count, config.dim_b)))
+            ids.extend(f"{name}_{split}_{i:04d}" for i in range(count))
+            labels.extend([name] * count)
+            splits.extend([split] * count)
 
-    table_a = FeatureTable("mod_a", config.dim_a, tuple(rows_a))
-    table_b = FeatureTable("mod_b", config.dim_b, tuple(rows_b))
+    table_a = FeatureTable("mod_a", config.dim_a, ids, labels, splits, np.vstack(clouds_a))
+    table_b = FeatureTable("mod_b", config.dim_b, ids, labels, splits, np.vstack(clouds_b))
 
     tasks = [TaskSpec(name="basics", class_labels=tuple(basic_names))]
     for t, start in enumerate(range(0, n_compound, _COMPOUND_TASK_SIZE)):

@@ -16,7 +16,7 @@ import numpy as np
 from .bgmm import BgmmConfig, FittedMixture, fit, log_likelihood_batch
 from .dataset import TaskBatch
 from .errors import ValidationError
-from .fusion import FusedVector, MinMaxNormalizer, apply_normalizer, fuse
+from .fusion import MinMaxNormalizer, apply_normalizer, fuse
 
 
 def derive_class_seed(run_seed: int, class_label: str) -> int:
@@ -32,15 +32,14 @@ class FusionPipeline:
     modality_order: tuple                 # modality names, manifest order
     normalizers: dict                     # name -> MinMaxNormalizer | None
 
-    def fuse_sample(self, vectors: dict) -> FusedVector:
-        segments = []
+    def transform(self, features: dict) -> np.ndarray:
+        """Normalize each modality's (N, D_m) matrix, then concatenate them
+        column-wise in modality order."""
+        parts = []
         for name in self.modality_order:
-            vec = vectors[name]
             norm = self.normalizers.get(name)
-            if norm is not None:
-                vec = apply_normalizer(norm, vec)
-            segments.append((name, vec))
-        return fuse(segments)
+            parts.append(features[name] if norm is None else apply_normalizer(norm, features[name]))
+        return fuse(parts)
 
     def to_dict(self) -> dict:
         return {
@@ -103,69 +102,30 @@ def train_task(ensemble: ClassConditionalEnsemble, batch: TaskBatch,
         raise ValidationError(
             f"class-incremental violation: classes already trained: {sorted(overlap)}"
         )
-    per_class: dict[str, list] = {label: [] for label in sorted(batch.class_set)}
-    for sample in batch.train_samples:
-        per_class[sample.class_label].append(
-            ensemble.fusion.fuse_sample(sample.vectors).values
-        )
-    # respect the task's declared class order for insertion
-    ordered = [label for label in _class_order(batch) if label in per_class]
-    for label in ordered:
-        vectors = per_class[label]
-        if not vectors:
+    fused = ensemble.fusion.transform(batch.train.features)
+    labels = batch.train.class_labels
+    # insertion order: first seen in the training rows, then the rest sorted
+    for label in dict.fromkeys([*labels, *sorted(batch.class_set)]):
+        rows = fused[labels == label]
+        if not len(rows):
             raise ValidationError(f"class {label!r} has no training samples")
-        mixture, _ = fit(np.vstack(vectors), config, derive_class_seed(seed, label))
+        mixture, _ = fit(rows, config, derive_class_seed(seed, label))
         ensemble.models[label] = mixture
-        ensemble.class_train_counts[label] = len(vectors)
+        ensemble.class_train_counts[label] = len(rows)
     return ensemble
 
 
-def _class_order(batch: TaskBatch):
-    seen = []
-    for sample in batch.train_samples:
-        if sample.class_label not in seen:
-            seen.append(sample.class_label)
-    for label in sorted(batch.class_set):
-        if label not in seen:
-            seen.append(label)
-    return seen
-
-
-def _as_array(fused) -> np.ndarray:
-    if isinstance(fused, FusedVector):
-        return fused.values
-    return np.asarray(fused, dtype=np.float64)
-
-
-def predict_scores(ensemble: ClassConditionalEnsemble, fused) -> dict:
-    """Per-class log-likelihood of one fused vector."""
-    if ensemble.class_count == 0:
-        raise ValidationError("no trained classes")
-    x = _as_array(fused)[None, :]
-    scores = {}
-    total = sum(ensemble.class_train_counts.values())
-    for label, mix in ensemble.models.items():
-        value = float(log_likelihood_batch(mix, x)[0])
-        if ensemble.use_class_priors and total > 0:
-            value += np.log(ensemble.class_train_counts[label] / total)
-        scores[label] = value
-    return scores
-
-
-def predict(ensemble: ClassConditionalEnsemble, fused) -> str:
-    """Argmax of predict_scores; exact ties go to the first-seen class."""
-    scores = predict_scores(ensemble, fused)
-    best_label, best_score = None, -np.inf
-    for label, score in scores.items():  # insertion order = first-seen
-        if score > best_score:
-            best_label, best_score = label, score
-    return best_label
-
-
 def predict_batch(ensemble: ClassConditionalEnsemble, fused_matrix: np.ndarray) -> list:
-    """Vectorized predict over rows of an (N, D) fused matrix."""
+    """Class label for each row of an (N, D) fused matrix.
+
+    Argmax of the per-class log-likelihoods (plus log class priors when
+    enabled); exact ties go to the first-seen class.
+    """
     if ensemble.class_count == 0:
         raise ValidationError("no trained classes")
+    fused_matrix = np.asarray(fused_matrix, dtype=np.float64)
+    if fused_matrix.ndim != 2 or fused_matrix.shape[0] == 0:
+        raise ValidationError(f"need a non-empty (N, D) matrix, got shape {fused_matrix.shape}")
     labels = list(ensemble.models)
     total = sum(ensemble.class_train_counts.values())
     score_matrix = np.empty((fused_matrix.shape[0], len(labels)))
@@ -175,14 +135,3 @@ def predict_batch(ensemble: ClassConditionalEnsemble, fused_matrix: np.ndarray) 
             score_matrix[:, i] += np.log(ensemble.class_train_counts[label] / total)
     best = np.argmax(score_matrix, axis=1)  # argmax keeps the first index on ties
     return [labels[i] for i in best]
-
-
-def evaluate(ensemble: ClassConditionalEnsemble, samples) -> float:
-    """Accuracy over (label, fused vector) pairs."""
-    samples = list(samples)
-    if not samples:
-        raise ValidationError("cannot evaluate on an empty sample set")
-    matrix = np.vstack([_as_array(fused) for _, fused in samples])
-    preds = predict_batch(ensemble, matrix)
-    correct = sum(1 for (label, _), pred in zip(samples, preds) if pred == label)
-    return correct / len(samples)

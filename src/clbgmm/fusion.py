@@ -2,12 +2,12 @@
 
 The normalizer is fitted once on the first task's training data and then
 frozen, so later tasks may produce values outside the fitted range; those
-are clamped into [0, 1].
+are clamped into [0, 1]. Everything works on whole (N, D) matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,25 +42,11 @@ class MinMaxNormalizer:
         )
 
 
-@dataclass(frozen=True)
-class FusedVector:
-    """Concatenated multimodal feature vector with its segment layout."""
-
-    values: np.ndarray
-    layout: tuple  # ((modality_name, offset, length), ...)
-
-    def segment(self, modality_name: str) -> np.ndarray:
-        for name, offset, length in self.layout:
-            if name == modality_name:
-                return self.values[offset : offset + length]
-        raise KeyError(modality_name)
-
-
 def fit_normalizer(vectors, task_name: str) -> MinMaxNormalizer:
-    """Compute componentwise min/max over a non-empty list of vectors."""
+    """Compute componentwise min/max over the rows of a non-empty (N, D) matrix."""
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.size == 0 or arr.ndim != 2:
-        raise ValidationError("fit_normalizer needs a non-empty list of equal-length vectors")
+        raise ValidationError("fit_normalizer needs a non-empty (N, D) matrix")
     return MinMaxNormalizer(
         per_dim_min=arr.min(axis=0),
         per_dim_max=arr.max(axis=0),
@@ -69,27 +55,21 @@ def fit_normalizer(vectors, task_name: str) -> MinMaxNormalizer:
 
 
 def apply_normalizer(norm: MinMaxNormalizer, v) -> np.ndarray:
-    """Scale v into [0, 1] with clamping; zero-range dimensions map to 0."""
+    """Scale a (D,) vector or the rows of an (N, D) matrix into [0, 1] with
+    clamping; zero-range dimensions map to 0."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != norm.per_dim_min.shape:
+    if v.ndim not in (1, 2) or v.shape[-1:] != norm.per_dim_min.shape:
         raise ValidationError(
-            f"dimension mismatch: vector has {v.shape}, normalizer expects {norm.per_dim_min.shape}"
+            f"dimension mismatch: input has {v.shape}, normalizer expects {norm.per_dim_min.shape}"
         )
     span = norm.per_dim_max - norm.per_dim_min
     out = np.zeros_like(v)
     nonzero = span > 0
-    out[nonzero] = (v[nonzero] - norm.per_dim_min[nonzero]) / span[nonzero]
+    out[..., nonzero] = (v[..., nonzero] - norm.per_dim_min[nonzero]) / span[nonzero]
     return np.clip(out, 0.0, 1.0)
 
 
-def fuse(segments) -> FusedVector:
-    """Concatenate (modality_name, vector) segments in the given order."""
-    layout = []
-    parts = []
-    offset = 0
-    for name, vec in segments:
-        vec = np.asarray(vec, dtype=np.float64)
-        parts.append(vec)
-        layout.append((name, offset, vec.shape[0]))
-        offset += vec.shape[0]
-    return FusedVector(values=np.concatenate(parts), layout=tuple(layout))
+def fuse(parts) -> np.ndarray:
+    """Concatenate per-modality (N, D_m) matrices (or (D_m,) vectors) column-wise,
+    in the given order."""
+    return np.hstack([np.asarray(part, dtype=np.float64) for part in parts])

@@ -9,14 +9,15 @@ intransigence measure, and aggregates runs across seeds.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ExperimentManifest, Sample, TaskBatch, build_task_sequence, manifest_to_dict
+from .dataset import DataSplit, ExperimentManifest, TaskBatch, build_task_sequence, manifest_to_dict
 from .ensemble import (
     ClassConditionalEnsemble,
     FusionPipeline,
@@ -28,6 +29,8 @@ from .fusion import fit_normalizer
 from .metrics import AccuracyMatrix, MetricsReport, compute_report
 
 ENV_THREADS = "CLBGMM_THREADS"
+
+logger = logging.getLogger("clbgmm")
 
 
 @dataclass
@@ -54,7 +57,6 @@ class RunResult:
             "per_task_test_sizes": list(self.per_task_test_sizes),
             "per_class_correct": dict(self.per_class_correct_counts),
             "joint_reference": self.joint_reference_accuracies,
-            "normalizer": self.ensemble.fusion.to_dict(),
             "ensembles": self.ensemble.to_dict(),
         }
 
@@ -92,24 +94,21 @@ class AggregateResult:
 
 def _build_fusion(manifest: ExperimentManifest, first_batch: TaskBatch) -> FusionPipeline:
     """Fit min-max statistics on task 1 training data, then freeze them."""
-    normalizers = {}
-    for spec in manifest.modalities:
-        if spec.normalize:
-            vectors = [s.vectors[spec.name] for s in first_batch.train_samples]
-            normalizers[spec.name] = fit_normalizer(vectors, first_batch.name)
-        else:
-            normalizers[spec.name] = None
+    features = first_batch.train.features
     return FusionPipeline(
         modality_order=tuple(spec.name for spec in manifest.modalities),
-        normalizers=normalizers,
+        normalizers={
+            spec.name: fit_normalizer(features[spec.name], first_batch.name) if spec.normalize else None
+            for spec in manifest.modalities
+        },
     )
 
 
-def _fused_test_set(fusion: FusionPipeline, samples) -> tuple:
-    ids = [s.sample_id for s in samples]
-    labels = [s.class_label for s in samples]
-    matrix = np.vstack([fusion.fuse_sample(s.vectors).values for s in samples])
-    return ids, labels, matrix
+def _fused_test_set(fusion: FusionPipeline, batch: TaskBatch) -> tuple:
+    test = batch.test
+    if len(test.sample_ids) == 0:
+        raise ValidationError(f"task {batch.name!r} has no test samples")
+    return test.sample_ids, test.class_labels, fusion.transform(test.features)
 
 
 def run_continual(manifest: ExperimentManifest, tables, seed: int,
@@ -125,7 +124,7 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
     predictions = []
     for k, batch in enumerate(batches, start=1):
         train_task(ensemble, batch, manifest.bgmm_config, seed)
-        test_sets.append(_fused_test_set(fusion, batch.test_samples))
+        test_sets.append(_fused_test_set(fusion, batch))
         batches[k - 1] = None  # release training data: exemplar-free by construction
 
         row = []
@@ -178,16 +177,22 @@ def train_joint_reference(manifest: ExperimentManifest, tables, k: int, seed: in
     ensemble = ClassConditionalEnsemble(
         fusion=fusion, use_class_priors=manifest.use_class_priors)
 
+    trains = [b.train for b in batches[:k]]
     joined = TaskBatch(
         task_index=1,
         name=f"joint_1..{k}",
         class_set=frozenset().union(*(b.class_set for b in batches[:k])),
-        train_samples=tuple(s for b in batches[:k] for s in b.train_samples),
-        test_samples=(),
+        train=DataSplit(
+            sample_ids=np.concatenate([t.sample_ids for t in trains]),
+            class_labels=np.concatenate([t.class_labels for t in trains]),
+            features={name: np.vstack([t.features[name] for t in trains])
+                      for name in fusion.modality_order},
+        ),
+        test=batches[k - 1].test,
     )
     train_task(ensemble, joined, manifest.bgmm_config, seed)
 
-    _, labels, matrix = _fused_test_set(fusion, batches[k - 1].test_samples)
+    _, labels, matrix = _fused_test_set(fusion, batches[k - 1])
     preds = predict_batch(ensemble, matrix)
     return sum(p == t for p, t in zip(preds, labels)) / len(labels)
 
@@ -204,10 +209,15 @@ def oracle_union_accuracy(preds_a, preds_b, truth) -> float:
 
 
 def _thread_cap() -> int:
+    raw = os.environ.get(ENV_THREADS, "1")
     try:
-        return max(1, int(os.environ.get(ENV_THREADS, "1")))
+        threads = int(raw)
     except ValueError:
+        threads = 0
+    if threads < 1:
+        logger.warning("%s=%r is not a positive integer; using 1 thread", ENV_THREADS, raw)
         return 1
+    return threads
 
 
 def multi_seed(manifest: ExperimentManifest, tables,

@@ -57,6 +57,33 @@ class TestRun:
         bad.write_text(json.dumps(manifest))
         assert main(["run", "--manifest", str(bad)]) == 2
 
+    def write_dataset(self, tmp_path, rows):
+        (tmp_path / "m.csv").write_text(
+            "sample_id,class,split,f_0\n" + "".join(f"{r}\n" for r in rows))
+        manifest = {
+            "tasks": [{"name": "t1", "classes": ["A"]}, {"name": "t2", "classes": ["B"]}],
+            "modalities": [{"name": "m", "path": str(tmp_path / "m.csv"), "dim": 1}],
+            "seeds": [1], "output": str(tmp_path / "res"),
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        return str(tmp_path / "manifest.json")
+
+    def test_task_without_test_samples_exits_2(self, tmp_path, capsys):
+        manifest = self.write_dataset(tmp_path, [
+            "a1,A,train,0.0", "a2,A,train,0.5", "a3,A,test,0.2",
+            "b1,B,train,5.0", "b2,B,train,5.5",
+        ])
+        assert main(["run", "--manifest", manifest]) == 2
+        assert "task 't2' has no test samples" in capsys.readouterr().err
+
+    def test_non_finite_feature_exits_2(self, tmp_path, capsys):
+        manifest = self.write_dataset(tmp_path, [
+            "a1,A,train,0.0", "a2,A,train,0.5", "a3,A,test,0.2",
+            "b1,B,train,5.0", "b2,B,train,5.5", "b3,B,test,inf",
+        ])
+        assert main(["run", "--manifest", manifest]) == 2
+        assert "line 7, column f_0: non-finite value 'inf'" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, synth_dir, tmp_path):
         out1 = tmp_path / "r1" / "res"
         out2 = tmp_path / "r2" / "res"

@@ -6,7 +6,6 @@ import pytest
 from clbgmm.bgmm import BgmmConfig
 from clbgmm.dataset import (
     ExperimentManifest,
-    FeatureRow,
     FeatureTable,
     ModalitySpec,
     SyntheticConfig,
@@ -85,8 +84,11 @@ class TestLoadFeatureTable:
             "s3,B,train,1.0,2.0",
         ])
         table = load_feature_table(path, expected_dim=2)
-        assert len(table.rows) == 3
-        assert table.rows[0].vector.tolist() == [0.5, 1.5]
+        assert len(table.sample_ids) == 3
+        assert table.values[0].tolist() == [0.5, 1.5]
+        assert table.sample_ids.tolist() == ["s1", "s2", "s3"]
+        assert table.class_labels.tolist() == ["A", "A", "B"]
+        assert table.splits.tolist() == ["train", "test", "train"]
 
     def test_dimension_mismatch(self, tmp_path):
         path = self.write_csv(tmp_path, [
@@ -110,6 +112,32 @@ class TestLoadFeatureTable:
         with pytest.raises(ValidationError, match="line 2.*f_1"):
             load_feature_table(path, expected_dim=2)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_rejected(self, tmp_path, split, cell):
+        path = self.write_csv(tmp_path, [
+            "sample_id,class,split,f_0,f_1",
+            "s1,A,train,0.5,1.5",
+            f"s2,A,{split},0.1,{cell}",
+        ])
+        with pytest.raises(ValidationError, match=f"line 3, column f_1: non-finite value '{cell}'"):
+            load_feature_table(path, expected_dim=2)
+
+    def test_cells_python_float_accepts(self, tmp_path):
+        # quoted fields parse in one pass; 1_0 only through the row-by-row fallback
+        path = self.write_csv(tmp_path, [
+            "sample_id,class,split,f_0,f_1",
+            '"s,1",A,train,"2.5",1_0',
+        ])
+        table = load_feature_table(path, expected_dim=2)
+        assert table.sample_ids.tolist() == ["s,1"]
+        assert table.values.tolist() == [[2.5, 10.0]]
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = self.write_csv(tmp_path, ["sample_id,class,split,f_0"])
+        with pytest.raises(ValidationError, match="feat.csv: no data rows"):
+            load_feature_table(path, expected_dim=1)
+
     def test_duplicate_sample_id(self, tmp_path):
         path = self.write_csv(tmp_path, [
             "sample_id,class,split,f_0",
@@ -120,15 +148,12 @@ class TestLoadFeatureTable:
             load_feature_table(path, expected_dim=1)
 
     def test_roundtrip_via_writer(self, tmp_path):
-        rows = tuple(
-            FeatureRow(f"s{i}", "A", "train", np.array([0.125 * i, -1.5]))
-            for i in range(3)
-        )
-        table = FeatureTable("m", 2, rows)
+        table = FeatureTable("m", 2, [f"s{i}" for i in range(3)], ["A"] * 3, ["train"] * 3,
+                             np.array([[0.125 * i, -1.5] for i in range(3)]))
         write_feature_table(table, tmp_path / "out.csv")
         back = load_feature_table(tmp_path / "out.csv", expected_dim=2, modality_name="m")
-        for a, b in zip(table.rows, back.rows):
-            assert np.array_equal(a.vector, b.vector)
+        assert np.array_equal(table.values, back.values)
+        assert back.sample_ids.tolist() == table.sample_ids.tolist()
 
 
 def make_manifest(tasks, modalities):
@@ -139,9 +164,8 @@ def make_manifest(tasks, modalities):
 
 
 def single_modality_table(samples):
-    rows = tuple(FeatureRow(sid, cls, split, np.asarray(vec, dtype=float))
-                 for sid, cls, split, vec in samples)
-    return FeatureTable("m", len(samples[0][3]), rows)
+    ids, classes, splits, vectors = zip(*samples)
+    return FeatureTable("m", len(vectors[0]), ids, classes, splits, np.asarray(vectors, dtype=float))
 
 
 class TestBuildTaskSequence:
@@ -155,8 +179,10 @@ class TestBuildTaskSequence:
             [TaskSpec("t1", ("A", "B")), TaskSpec("t2", ("C",))],
             [ModalitySpec("m", "", 1, False)])
         batches = build_task_sequence(man, [table])
-        assert [len(b.train_samples) for b in batches] == [2, 1]
-        assert [len(b.test_samples) for b in batches] == [2, 1]
+        assert [len(b.train.sample_ids) for b in batches] == [2, 1]
+        assert [len(b.test.sample_ids) for b in batches] == [2, 1]
+        assert batches[0].test.sample_ids.tolist() == ["a2", "b2"]
+        assert batches[0].test.features["m"].tolist() == [[0.1], [1.1]]
 
     def test_unrouted_class_is_error(self):
         table = single_modality_table([("d1", "D", "train", [0.0])])
@@ -200,8 +226,17 @@ class TestBuildTaskSequence:
         man = make_manifest(tasks, [ModalitySpec("mod_a", "", 2, False),
                                     ModalitySpec("mod_b", "", 2, False)])
         batches = build_task_sequence(man, [ta, tb])
-        routed = [s.sample_id for b in batches for s in b.train_samples + b.test_samples]
-        assert sorted(routed) == sorted(r.sample_id for r in ta.rows)
+        routed = [sid for b in batches for split in (b.train, b.test) for sid in split.sample_ids]
+        assert sorted(routed) == sorted(ta.sample_ids)
+
+    def test_modalities_joined_by_sample_id(self):
+        t1 = single_modality_table([("s1", "A", "train", [1.0]), ("s2", "A", "test", [2.0])])
+        t2 = single_modality_table([("s2", "A", "test", [20.0]), ("s1", "A", "train", [10.0])])
+        man = make_manifest([TaskSpec("t1", ("A",))],
+                            [ModalitySpec("m1", "", 1, False), ModalitySpec("m2", "", 1, False)])
+        (batch,) = build_task_sequence(man, [t1, t2])
+        assert batch.train.features["m2"].tolist() == [[10.0]]
+        assert batch.test.features["m2"].tolist() == [[20.0]]
 
 
 class TestGenerateSynthetic:
@@ -210,16 +245,16 @@ class TestGenerateSynthetic:
                                  dim_a=2, dim_b=2,
                                  samples_per_class_train=5, samples_per_class_test=5)
         ta, tb, tasks = generate_synthetic(config, seed=7)
-        assert len(ta.rows) == len(tb.rows) == 20
+        assert ta.values.shape == tb.values.shape == (20, 2)
         assert len(tasks) == 1
 
     def test_determinism(self):
         config = SyntheticConfig(n_basic_classes=3, n_compound_classes=3)
         a1, b1, t1 = generate_synthetic(config, seed=7)
         a2, b2, t2 = generate_synthetic(config, seed=7)
-        for r1, r2 in zip(a1.rows + b1.rows, a2.rows + b2.rows):
-            assert r1.sample_id == r2.sample_id
-            assert np.array_equal(r1.vector, r2.vector)
+        for x, y in ((a1, a2), (b1, b2)):
+            assert x.sample_ids.tolist() == y.sample_ids.tolist()
+            assert np.array_equal(x.values, y.values)
         assert t1 == t2
 
     def test_too_many_compounds(self):
@@ -231,11 +266,9 @@ class TestGenerateSynthetic:
                                  cluster_spread=0.01,
                                  samples_per_class_train=200, samples_per_class_test=10)
         ta, _, _ = generate_synthetic(config, seed=3)
-        by_class = {}
-        for row in ta.rows:
-            if row.split == "train":
-                by_class.setdefault(row.class_label, []).append(row.vector)
-        means = {c: np.mean(v, axis=0) for c, v in by_class.items()}
+        train = ta.splits == "train"
+        means = {c: ta.values[train & (ta.class_labels == c)].mean(axis=0)
+                 for c in set(ta.class_labels)}
         basics = [means[c] for c in sorted(means) if c.startswith("basic")]
         for c in sorted(means):
             if c.startswith("compound"):

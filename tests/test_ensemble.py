@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from clbgmm.bgmm import BgmmConfig, FittedMixture
-from clbgmm.dataset import Sample, SyntheticConfig, TaskBatch, generate_synthetic
+from clbgmm.bgmm import BgmmConfig, FittedMixture, log_likelihood_batch
+from clbgmm.dataset import DataSplit, TaskBatch
 from clbgmm.ensemble import (
     ClassConditionalEnsemble,
     FusionPipeline,
     derive_class_seed,
-    evaluate,
-    predict,
     predict_batch,
-    predict_scores,
     train_task,
 )
 from clbgmm.errors import ValidationError
@@ -28,25 +25,49 @@ def unit_mixture(mean):
         covariances=np.array([[1.0]]), covariance_type="diagonal", metadata={})
 
 
+def make_split(ids, labels, matrix):
+    return DataSplit(sample_ids=np.array(ids, dtype=object),
+                     class_labels=np.array(labels, dtype=object),
+                     features={"m": np.asarray(matrix, dtype=float)})
+
+
 def make_batch(index, samples):
+    ids = [sid for sid, _ in samples]
+    labels = [cls for _, cls in samples]
     return TaskBatch(
         task_index=index, name=f"t{index}",
-        class_set=frozenset(cls for _, cls in samples),
-        train_samples=tuple(
-            Sample(sid, cls, {"m": np.array([float(i)])})
-            for i, (sid, cls) in enumerate(samples)),
-        test_samples=())
+        class_set=frozenset(labels),
+        train=make_split(ids, labels, [[float(i)] for i in range(len(samples))]),
+        test=make_split([], [], np.empty((0, 1))))
 
 
 def cluster_batch(index, classes, rng, n=40):
-    samples = []
+    ids, labels, vectors = [], [], []
     for cls, center in classes:
         for i in range(n):
-            samples.append(Sample(f"{cls}_{i}", cls,
-                                  {"m": rng.normal(center, 0.3, size=2)}))
+            ids.append(f"{cls}_{i}")
+            labels.append(cls)
+            vectors.append(rng.normal(center, 0.3, size=2))
     return TaskBatch(task_index=index, name=f"t{index}",
                      class_set=frozenset(cls for cls, _ in classes),
-                     train_samples=tuple(samples), test_samples=())
+                     train=make_split(ids, labels, vectors),
+                     test=make_split([], [], np.empty((0, 2))))
+
+
+def class_scores(ens, x):
+    """Per-class log-likelihood of one point: the scores predict_batch ranks."""
+    return {label: float(log_likelihood_batch(mix, np.atleast_2d(x))[0])
+            for label, mix in ens.models.items()}
+
+
+def predict_one(ens, x):
+    return predict_batch(ens, np.atleast_2d(x))[0]
+
+
+def accuracy(ens, samples):
+    labels = [label for label, _ in samples]
+    preds = predict_batch(ens, np.array([x for _, x in samples]))
+    return sum(p == t for p, t in zip(preds, labels)) / len(labels)
 
 
 class TestTrainTask:
@@ -76,6 +97,13 @@ class TestTrainTask:
             train_task(ens, make_batch(2, [("b2", "B"), ("c1", "C")]),
                        BgmmConfig(max_components=2), seed=1)
 
+    def test_models_inserted_in_first_seen_order(self):
+        ens = ClassConditionalEnsemble(fusion=plain_fusion())
+        train_task(ens, make_batch(1, [("b1", "B"), ("a1", "A"), ("b2", "B"), ("a2", "A")]),
+                   BgmmConfig(max_components=1), seed=1)
+        assert list(ens.models) == ["B", "A"]
+        assert ens.class_train_counts == {"B": 2, "A": 2}
+
     def test_per_class_seeds_are_decorrelated(self):
         assert derive_class_seed(1, "A") != derive_class_seed(1, "B")
         assert derive_class_seed(1, "A") != derive_class_seed(2, "A")
@@ -93,20 +121,20 @@ def two_class_ensemble():
 class TestPredict:
     def test_nearer_mean_wins(self):
         ens = two_class_ensemble()
-        scores = predict_scores(ens, np.array([1.0]))
+        scores = class_scores(ens, np.array([1.0]))
         assert scores["A"] > scores["B"]
-        assert predict(ens, np.array([1.0])) == "A"
+        assert predict_one(ens, np.array([1.0])) == "A"
 
     def test_exact_tie_goes_to_first_seen(self):
         ens = two_class_ensemble()
-        scores = predict_scores(ens, np.array([5.0]))
+        scores = class_scores(ens, np.array([5.0]))
         assert scores["A"] == pytest.approx(scores["B"], abs=1e-12)
-        assert predict(ens, np.array([5.0])) == "A"
+        assert predict_one(ens, np.array([5.0])) == "A"
 
     def test_empty_ensemble_rejected(self):
         ens = ClassConditionalEnsemble(fusion=plain_fusion())
         with pytest.raises(ValidationError, match="no trained classes"):
-            predict_scores(ens, np.array([0.0]))
+            predict_batch(ens, np.array([[0.0]]))
 
     def test_scores_match_manual_logsumexp(self):
         rng = np.random.default_rng(0)
@@ -116,7 +144,7 @@ class TestPredict:
                    BgmmConfig(max_components=3), seed=5)
         points = rng.normal(2.0, 3.0, size=(200, 2))
         for x in points[:20]:
-            scores = predict_scores(ens, x)
+            scores = class_scores(ens, x)
             for label, mix in ens.models.items():
                 manual = []
                 for w, m, var in zip(mix.weights, mix.means, mix.covariances):
@@ -124,6 +152,7 @@ class TestPredict:
                                   - 0.5 * np.sum(np.log(2 * np.pi * var))
                                   - 0.5 * np.sum((x - m) ** 2 / var))
                 assert scores[label] == pytest.approx(logsumexp(manual), abs=1e-9)
+            assert predict_one(ens, x) == max(scores, key=scores.get)
 
     def test_batch_matches_scalar_path(self):
         rng = np.random.default_rng(1)
@@ -131,38 +160,37 @@ class TestPredict:
         centers = [("p", np.array([0.0, 0.0])), ("q", np.array([6.0, 6.0]))]
         train_task(ens, cluster_batch(1, centers, rng), BgmmConfig(max_components=3), seed=2)
         points = rng.normal(3.0, 4.0, size=(50, 2))
-        assert predict_batch(ens, points) == [predict(ens, x) for x in points]
+        assert predict_batch(ens, points) == [predict_one(ens, x) for x in points]
 
     def test_centers_classified_as_own_class(self):
         rng = np.random.default_rng(2)
         ens = ClassConditionalEnsemble(fusion=plain_fusion())
         centers = [("p", np.array([0.0, 0.0])), ("q", np.array([10.0, 10.0]))]
         train_task(ens, cluster_batch(1, centers, rng), BgmmConfig(max_components=3), seed=2)
-        assert predict(ens, np.array([0.0, 0.0])) == "p"
-        assert predict(ens, np.array([10.0, 10.0])) == "q"
+        assert predict_batch(ens, np.array([[0.0, 0.0], [10.0, 10.0]])) == ["p", "q"]
 
     def test_shift_invariance_of_argmax(self):
         ens = two_class_ensemble()
         x = np.array([2.0])
-        scores = predict_scores(ens, x)
+        scores = class_scores(ens, x)
         shifted = {c: s + 123.456 for c, s in scores.items()}
         assert max(scores, key=scores.get) == max(shifted, key=shifted.get)
-        assert predict(ens, x) == max(scores, key=scores.get)
+        assert predict_one(ens, x) == max(scores, key=scores.get)
 
 
 class TestEvaluate:
     def test_all_correct(self):
         ens = two_class_ensemble()
-        assert evaluate(ens, [("A", np.array([0.0])), ("B", np.array([10.0]))]) == 1.0
+        assert accuracy(ens, [("A", np.array([0.0])), ("B", np.array([10.0]))]) == 1.0
 
     def test_adversarial_labels(self):
         ens = two_class_ensemble()
-        assert evaluate(ens, [("B", np.array([0.0])), ("A", np.array([10.0]))]) == 0.0
+        assert accuracy(ens, [("B", np.array([0.0])), ("A", np.array([10.0]))]) == 0.0
 
     def test_empty_set_rejected(self):
         ens = two_class_ensemble()
         with pytest.raises(ValidationError):
-            evaluate(ens, [])
+            predict_batch(ens, np.empty((0, 1)))
 
     def test_matches_brute_force_count(self):
         rng = np.random.default_rng(3)
@@ -173,6 +201,6 @@ class TestEvaluate:
         for cls, center in centers:
             for _ in range(20):
                 samples.append((cls, rng.normal(center, 1.0, size=2)))
-        acc = evaluate(ens, samples)
-        correct = sum(predict(ens, x) == cls for cls, x in samples)
+        acc = accuracy(ens, samples)
+        correct = sum(predict_one(ens, x) == cls for cls, x in samples)
         assert acc == correct / len(samples)

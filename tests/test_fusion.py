@@ -50,6 +50,13 @@ class TestApplyNormalizer:
         with pytest.raises(ValidationError):
             apply_normalizer(norm, [1.0])
 
+    def test_matrix_rows_match_vector_path(self):
+        rng = np.random.default_rng(2)
+        norm = fit_normalizer(rng.normal(size=(10, 3)) * [1.0, 0.0, 5.0], "t1")
+        matrix = rng.normal(size=(20, 3)) * 4.0
+        expected = np.array([apply_normalizer(norm, row) for row in matrix])
+        assert np.array_equal(apply_normalizer(norm, matrix), expected)
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3))
     def test_output_always_in_unit_interval(self, v):
         norm = fit_normalizer([[-1.0, 0.0, 5.0], [1.0, 0.0, 7.0]], "t1")
@@ -59,21 +66,20 @@ class TestApplyNormalizer:
 
 class TestFuse:
     def test_concatenation_and_layout(self):
-        fused = fuse([("deep", [0.1, 0.9]), ("au", [2.0])])
-        assert fused.values.tolist() == [0.1, 0.9, 2.0]
-        assert fused.layout == (("deep", 0, 2), ("au", 2, 1))
+        fused = fuse([np.array([[0.1, 0.9]]), np.array([[2.0]])])
+        assert fused.tolist() == [[0.1, 0.9, 2.0]]
 
     def test_single_segment_identity(self):
-        fused = fuse([("only", [1.0, 2.0, 3.0])])
-        assert fused.values.tolist() == [1.0, 2.0, 3.0]
+        fused = fuse([[1.0, 2.0, 3.0]])
+        assert fused.tolist() == [1.0, 2.0, 3.0]
 
     def test_cfee_shaped_dimensions(self):
-        fused = fuse([("deep", np.zeros(512)), ("au", np.zeros(17))])
-        assert fused.values.shape == (529,)
+        fused = fuse([np.zeros((5, 512)), np.zeros((5, 17))])
+        assert fused.shape == (5, 529)
 
     def test_slicing_recovers_segments(self):
         rng = np.random.default_rng(1)
-        a, b = rng.normal(size=4), rng.normal(size=7)
-        fused = fuse([("a", a), ("b", b)])
-        assert np.array_equal(fused.segment("a"), a)
-        assert np.array_equal(fused.segment("b"), b)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 7))
+        fused = fuse([a, b])
+        assert np.array_equal(fused[:, :4], a)
+        assert np.array_equal(fused[:, 4:], b)

@@ -13,6 +13,7 @@ from clbgmm.dataset import (
 )
 from clbgmm.errors import ValidationError
 from clbgmm.protocol import (
+    _thread_cap,
     aggregate,
     load_run_result,
     multi_seed,
@@ -73,9 +74,11 @@ class TestRunContinual:
         # drop samples of the removed tasks so routing stays total
         kept = {c for t in truncated.tasks for c in t.class_labels}
         from clbgmm.dataset import FeatureTable
-        small = [FeatureTable(t.modality_name, t.dim,
-                              tuple(r for r in t.rows if r.class_label in kept))
-                 for t in tables]
+        small = []
+        for t in tables:
+            keep = np.array([c in kept for c in t.class_labels])
+            small.append(FeatureTable(t.modality_name, t.dim, t.sample_ids[keep],
+                                      t.class_labels[keep], t.splits[keep], t.values[keep]))
         part = run_continual(truncated, small, seed=3, compute_joint_reference=False)
         assert part.matrix.to_list() == full.matrix.to_list()[:2]
 
@@ -132,6 +135,20 @@ class TestOracleUnion:
 
 
 class TestMultiSeed:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_setting_warns_and_falls_back(self, monkeypatch, caplog, value):
+        monkeypatch.setenv("CLBGMM_THREADS", value)
+        with caplog.at_level("WARNING", logger="clbgmm"):
+            assert _thread_cap() == 1
+        assert [r.name for r in caplog.records] == ["clbgmm"]
+        assert "CLBGMM_THREADS" in caplog.text and repr(value) in caplog.text
+
+    def test_valid_thread_setting_is_silent(self, monkeypatch, caplog):
+        monkeypatch.setenv("CLBGMM_THREADS", "2")
+        with caplog.at_level("WARNING", logger="clbgmm"):
+            assert _thread_cap() == 2
+        assert caplog.records == []
+
     def test_single_seed_zero_std(self):
         manifest, tables = synthetic_setup(seeds=(1,))
         _, agg = multi_seed(manifest, tables, compute_joint_reference=False)
@@ -157,6 +174,8 @@ class TestSerialization:
         path = tmp_path / "run.json"
         save_run_result(result, path)
         back = load_run_result(path)
+        assert "normalizer" not in json.loads(path.read_text())
+        assert back.ensemble.fusion.to_dict() == result.ensemble.fusion.to_dict()
         assert back.matrix.to_list() == result.matrix.to_list()
         assert back.per_task_predictions == result.per_task_predictions
         assert back.metrics().to_dict() == result.metrics().to_dict()
