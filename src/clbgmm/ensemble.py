@@ -9,6 +9,7 @@ per-class log-likelihoods, ties broken by first-seen class order.
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,8 @@ from .bgmm import BgmmConfig, FittedMixture, fit, log_likelihood_batch
 from .dataset import TaskBatch
 from .errors import ValidationError
 from .fusion import MinMaxNormalizer, apply_normalizer, fuse
+
+logger = logging.getLogger("clbgmm")
 
 
 def derive_class_seed(run_seed: int, class_label: str) -> int:
@@ -110,16 +113,30 @@ def train_task(ensemble: ClassConditionalEnsemble, batch: TaskBatch,
         if not len(rows):
             raise ValidationError(f"class {label!r} has no training samples")
         mixture, _ = fit(rows, config, derive_class_seed(seed, label))
+        meta = mixture.metadata
+        if not meta["converged"]:
+            logger.warning("class %r: fit did not converge in %d iterations",
+                           label, meta["iterations"])
+        if meta["all_pruned_fallback"]:
+            logger.warning("class %r: every component fell below prune_threshold after "
+                           "%d iterations; kept only the heaviest", label, meta["iterations"])
         ensemble.models[label] = mixture
         ensemble.class_train_counts[label] = len(rows)
     return ensemble
 
 
-def predict_batch(ensemble: ClassConditionalEnsemble, fused_matrix: np.ndarray) -> list:
+def predict_batch(ensemble: ClassConditionalEnsemble, fused_matrix: np.ndarray,
+                  columns: list | None = None) -> list:
     """Class label for each row of an (N, D) fused matrix.
 
     Argmax of the per-class log-likelihoods (plus log class priors when
     enabled); exact ties go to the first-seen class.
+
+    ``columns`` is a caller-owned cache of raw (N,) log-likelihood columns
+    of this matrix, one per class in model order. Mixtures are frozen once
+    fitted, so only the classes past ``len(columns)`` are scored and their
+    columns appended; the priors, which change as classes are added, are
+    never cached.
     """
     if ensemble.class_count == 0:
         raise ValidationError("no trained classes")
@@ -127,11 +144,18 @@ def predict_batch(ensemble: ClassConditionalEnsemble, fused_matrix: np.ndarray) 
     if fused_matrix.ndim != 2 or fused_matrix.shape[0] == 0:
         raise ValidationError(f"need a non-empty (N, D) matrix, got shape {fused_matrix.shape}")
     labels = list(ensemble.models)
+    n_rows = fused_matrix.shape[0]
+    if columns is None:
+        columns = []
+    if len(columns) > len(labels) or any(len(column) != n_rows for column in columns):
+        raise ValidationError(
+            f"column cache does not fit {len(labels)} classes and {n_rows} rows")
+    for label in labels[len(columns):]:
+        columns.append(log_likelihood_batch(ensemble.models[label], fused_matrix))
     total = sum(ensemble.class_train_counts.values())
-    score_matrix = np.empty((fused_matrix.shape[0], len(labels)))
-    for i, label in enumerate(labels):
-        score_matrix[:, i] = log_likelihood_batch(ensemble.models[label], fused_matrix)
-        if ensemble.use_class_priors and total > 0:
+    score_matrix = np.column_stack(columns)
+    if ensemble.use_class_priors and total > 0:
+        for i, label in enumerate(labels):
             score_matrix[:, i] += np.log(ensemble.class_train_counts[label] / total)
     best = np.argmax(score_matrix, axis=1)  # argmax keeps the first index on ties
     return [labels[i] for i in best]

@@ -119,18 +119,20 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
     ensemble = ClassConditionalEnsemble(
         fusion=fusion, use_class_priors=manifest.use_class_priors)
 
-    test_sets = []    # fused test data is retained; train data is released per task
+    # fused test data is retained, with its cached per-class score columns;
+    # train data is released per task
+    test_sets = []
     rows = []
     predictions = []
     for k, batch in enumerate(batches, start=1):
         train_task(ensemble, batch, manifest.bgmm_config, seed)
-        test_sets.append(_fused_test_set(fusion, batch))
+        test_sets.append((*_fused_test_set(fusion, batch), []))
         batches[k - 1] = None  # release training data: exemplar-free by construction
 
         row = []
         row_preds = []
-        for ids, labels, matrix in test_sets:
-            preds = predict_batch(ensemble, matrix)
+        for ids, labels, matrix, columns in test_sets:
+            preds = predict_batch(ensemble, matrix, columns)
             row.append(sum(p == t for p, t in zip(preds, labels)) / len(labels))
             row_preds.extend(zip(ids, labels, preds))
         rows.append(row)
@@ -155,7 +157,7 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
     return RunResult(
         matrix=acc_matrix,
         per_task_predictions=predictions,
-        per_task_test_sizes=[len(labels) for _, labels, _ in test_sets],
+        per_task_test_sizes=[len(labels) for _, labels, _, _ in test_sets],
         per_class_correct_counts=per_class_correct,
         joint_reference_accuracies=joint_refs,
         manifest_echo=manifest_to_dict(manifest),
@@ -300,3 +302,5 @@ def load_run_result(path) -> RunResult:
         return RunResult.from_dict(doc)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed results file {path}: missing {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"malformed results file {path}: {exc}") from exc

@@ -125,6 +125,25 @@ class TestMetrics:
         bad.write_text("{")
         assert main(["metrics", "--results", str(bad)]) == 2
 
+    def rewrite(self, results_file, tmp_path, change):
+        doc = json.loads(Path(results_file).read_text())
+        change(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return str(bad)
+
+    def test_two_field_prediction_row_exits_2(self, results_file, tmp_path, capsys):
+        bad = self.rewrite(results_file, tmp_path,
+                           lambda doc: doc["per_task_predictions"][0].__setitem__(0, ["s", "A"]))
+        assert main(["metrics", "--results", bad]) == 2
+        assert f"malformed results file {bad}" in capsys.readouterr().err
+
+    def test_non_numeric_accuracy_exits_2(self, results_file, tmp_path, capsys):
+        bad = self.rewrite(results_file, tmp_path,
+                           lambda doc: doc["accuracy_matrix"][0].__setitem__(0, "high"))
+        assert main(["metrics", "--results", bad]) == 2
+        assert f"malformed results file {bad}" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_self_union_equals_individual(self, results_file, capsys):

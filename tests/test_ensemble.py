@@ -204,3 +204,114 @@ class TestEvaluate:
         acc = accuracy(ens, samples)
         correct = sum(predict_one(ens, x) == cls for cls, x in samples)
         assert acc == correct / len(samples)
+
+
+class TestClassPriors:
+    def test_prior_flips_a_near_tie(self):
+        ens = two_class_ensemble()
+        x = np.array([[4.9]])  # A leads by 1.0 nat
+        assert predict_batch(ens, x) == ["A"]
+        ens.use_class_priors = True
+        ens.class_train_counts = {"A": 1, "B": 3}  # B's prior adds log 3 > 1.0
+        assert predict_batch(ens, x) == ["B"]
+
+
+def counting_scorer(monkeypatch):
+    """Replace the scorer predict_batch calls with a counting wrapper."""
+    import clbgmm.ensemble as ensemble_module
+    calls = []
+    original = ensemble_module.log_likelihood_batch
+
+    def counted(mix, X):
+        calls.append(mix)
+        return original(mix, X)
+
+    monkeypatch.setattr(ensemble_module, "log_likelihood_batch", counted)
+    return calls
+
+
+class TestColumnCache:
+    def three_class_ensemble(self):
+        rng = np.random.default_rng(4)
+        ens = ClassConditionalEnsemble(fusion=plain_fusion())
+        centers = [("p", np.array([0.0, 0.0])), ("q", np.array([3.0, 3.0])),
+                   ("r", np.array([0.0, 3.0]))]
+        train_task(ens, cluster_batch(1, centers, rng), BgmmConfig(max_components=3), seed=3)
+        return ens, rng.normal(1.5, 2.0, size=(60, 2))
+
+    def test_partial_cache_scores_only_missing_classes(self, monkeypatch):
+        ens, points = self.three_class_ensemble()
+        expected = predict_batch(ens, points)
+        first = log_likelihood_batch(ens.models["p"], points)
+        columns = [first]
+        calls = counting_scorer(monkeypatch)
+        assert predict_batch(ens, points, columns) == expected
+        assert calls == [ens.models["q"], ens.models["r"]]
+        assert len(columns) == 3 and columns[0] is first
+
+    def test_full_cache_scores_nothing(self, monkeypatch):
+        ens, points = self.three_class_ensemble()
+        columns = []
+        expected = predict_batch(ens, points, columns)
+        calls = counting_scorer(monkeypatch)
+        assert predict_batch(ens, points, columns) == expected
+        assert calls == []
+
+    def test_priors_are_not_cached(self):
+        ens = two_class_ensemble()
+        x = np.array([[4.9]])
+        columns = []
+        assert predict_batch(ens, x, columns) == ["A"]
+        ens.use_class_priors = True
+        ens.class_train_counts = {"A": 1, "B": 3}
+        assert predict_batch(ens, x, columns) == ["B"]
+        assert [c[0] for c in columns] == [float(log_likelihood_batch(ens.models[c], x)[0])
+                                            for c in ("A", "B")]
+
+    def test_too_many_columns_rejected(self):
+        ens = two_class_ensemble()
+        x = np.array([[1.0], [2.0]])
+        with pytest.raises(ValidationError, match="column cache"):
+            predict_batch(ens, x, [np.zeros(2)] * 3)
+
+    def test_column_of_wrong_length_rejected(self):
+        ens = two_class_ensemble()
+        x = np.array([[1.0], [2.0]])
+        with pytest.raises(ValidationError, match="column cache"):
+            predict_batch(ens, x, [np.zeros(3)])
+
+
+class TestFitWarnings:
+    def warnings_for(self, caplog, config, batch=None):
+        rng = np.random.default_rng(5)
+        ens = ClassConditionalEnsemble(fusion=plain_fusion())
+        if batch is None:
+            batch = cluster_batch(1, [("p", np.array([0.0, 0.0])),
+                                      ("q", np.array([6.0, 6.0]))], rng)
+        with caplog.at_level("WARNING", logger="clbgmm"):
+            train_task(ens, batch, config, seed=1)
+        return [r for r in caplog.records if r.name == "clbgmm"]
+
+    def test_unconverged_fit_warns_with_class_and_iterations(self, caplog):
+        records = self.warnings_for(caplog, BgmmConfig(max_components=3, max_iterations=2))
+        messages = [r.getMessage() for r in records]
+        assert messages == [f"class {c!r}: fit did not converge in 2 iterations"
+                            for c in ("p", "q")]
+        assert all(r.levelname == "WARNING" for r in records)
+
+    def test_all_pruned_fallback_warns(self, caplog):
+        # class "b" has two equal clusters, so no component reaches weight 0.9
+        rng = np.random.default_rng(6)
+        vectors = np.vstack([rng.normal(0.0, 0.3, size=(40, 2)),
+                             rng.normal(8.0, 0.3, size=(40, 2))])
+        ids = [f"b{i}" for i in range(80)]
+        batch = TaskBatch(task_index=1, name="t1", class_set=frozenset({"b"}),
+                          train=make_split(ids, ["b"] * 80, vectors),
+                          test=make_split([], [], np.empty((0, 2))))
+        config = BgmmConfig(max_components=2, prune_threshold=0.9)
+        messages = [r.getMessage() for r in self.warnings_for(caplog, config, batch)]
+        assert len(messages) == 1
+        assert messages[0].startswith("class 'b': every component fell below prune_threshold")
+
+    def test_converged_fit_is_silent(self, caplog):
+        assert self.warnings_for(caplog, BgmmConfig(max_components=3)) == []

@@ -6,11 +6,14 @@ import pytest
 from clbgmm.bgmm import BgmmConfig
 from clbgmm.dataset import (
     ExperimentManifest,
+    FeatureTable,
     ModalitySpec,
     SyntheticConfig,
     TaskSpec,
+    build_task_sequence,
     generate_synthetic,
 )
+from clbgmm.ensemble import ClassConditionalEnsemble, predict_batch
 from clbgmm.errors import ValidationError
 from clbgmm.protocol import (
     _thread_cap,
@@ -73,7 +76,6 @@ class TestRunContinual:
             seeds=manifest.seeds, output_path="out")
         # drop samples of the removed tasks so routing stays total
         kept = {c for t in truncated.tasks for c in t.class_labels}
-        from clbgmm.dataset import FeatureTable
         small = []
         for t in tables:
             keep = np.array([c in kept for c in t.class_labels])
@@ -81,6 +83,64 @@ class TestRunContinual:
                                       t.class_labels[keep], t.splits[keep], t.values[keep]))
         part = run_continual(truncated, small, seed=3, compute_joint_reference=False)
         assert part.matrix.to_list() == full.matrix.to_list()[:2]
+
+
+def uneven_train_tables(tables):
+    """Keep 30, 20, 10, 30, ... training rows of the classes in turn, so
+    the class priors differ."""
+    classes = list(dict.fromkeys(tables[0].class_labels))
+    quota = {c: (30, 20, 10)[i % 3] for i, c in enumerate(classes)}
+    seen = {c: 0 for c in classes}
+    keep = []
+    for label, split in zip(tables[0].class_labels, tables[0].splits):
+        if split == "train":
+            seen[label] += 1
+            keep.append(seen[label] <= quota[label])
+        else:
+            keep.append(True)
+    keep = np.array(keep)
+    return [FeatureTable(t.modality_name, t.dim, t.sample_ids[keep], t.class_labels[keep],
+                         t.splits[keep], t.values[keep]) for t in tables]
+
+
+class TestCachedScoring:
+    def test_each_class_scored_once_per_test_set(self, monkeypatch):
+        import clbgmm.ensemble as ensemble_module
+        calls = []
+        original = ensemble_module.log_likelihood_batch
+        monkeypatch.setattr(ensemble_module, "log_likelihood_batch",
+                            lambda mix, X: calls.append(mix) or original(mix, X))
+        manifest, tables = synthetic_setup(n_basic=4, n_compound=6)
+        result = run_continual(manifest, tables, seed=2, compute_joint_reference=False)
+        n_tasks = result.matrix.n_tasks
+        n_classes = result.ensemble.class_count
+        assert n_tasks == 3 and n_classes == 10
+        assert len(calls) == n_tasks * n_classes
+
+    def test_priors_match_uncached_truncated_ensembles(self):
+        manifest, tables = synthetic_setup(n_basic=4, n_compound=6, spread=2.0)
+        manifest = ExperimentManifest(
+            tasks=manifest.tasks, modalities=manifest.modalities,
+            fusion_strategy="concat", bgmm_config=manifest.bgmm_config,
+            seeds=manifest.seeds, output_path="out", use_class_priors=True)
+        tables = uneven_train_tables(tables)
+        result = run_continual(manifest, tables, seed=3, compute_joint_reference=False)
+        ens = result.ensemble
+        assert ens.use_class_priors and len(set(ens.class_train_counts.values())) == 3
+        batches = build_task_sequence(manifest, tables)
+        test_sets = [(b.test.sample_ids, b.test.class_labels,
+                      ens.fusion.transform(b.test.features)) for b in batches]
+        seen = []
+        for k, batch in enumerate(batches, start=1):
+            seen += [c for c in ens.models if c in batch.class_set]
+            truncated = ClassConditionalEnsemble(
+                fusion=ens.fusion, use_class_priors=True,
+                models={c: ens.models[c] for c in seen},
+                class_train_counts={c: ens.class_train_counts[c] for c in seen})
+            expected = []
+            for ids, labels, matrix in test_sets[:k]:
+                expected.extend(zip(ids, labels, predict_batch(truncated, matrix)))
+            assert result.per_task_predictions[k - 1] == expected
 
 
 class TestJointReference:
