@@ -13,7 +13,7 @@ scoring is a plain mixture density over those plug-in parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cholesky, cho_solve, eigh
@@ -83,6 +83,23 @@ class BgmmConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "BgmmConfig":
+        """Build and validate a config; an unknown key or a value of the
+        wrong type raises ValidationError naming the setting."""
+        defaults = {f.name: f.default for f in fields(BgmmConfig)}
+        for name, value in d.items():
+            if name not in defaults:
+                raise ValidationError(f"unknown bgmm setting {name!r}")
+            default = defaults[name]
+            if isinstance(default, str):
+                ok, expected = isinstance(value, str), "a string"
+            elif isinstance(default, int):
+                ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+            else:  # a float, or None for a value derived from the data
+                ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                      or value is None and default is None)
+                expected = "a number"
+            if not ok:
+                raise ValidationError(f"bgmm setting {name!r} must be {expected}, got {value!r}")
         return BgmmConfig(**d).validate()
 
 

@@ -158,45 +158,68 @@ class SyntheticConfig:
 # manifest parsing
 # ---------------------------------------------------------------------------
 
+def _expect(value, kind, field: str, expected: str):
+    """Return value if it is an instance of kind, else raise naming the field."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"manifest field {field!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _as_int(value, field: str) -> int:
+    """A JSON integer; a float, string or boolean is not truncated or cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"manifest field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def parse_manifest(text: str) -> ExperimentManifest:
-    """Parse and validate a JSON manifest."""
+    """Parse and validate a JSON manifest; a field of the wrong shape raises
+    ValidationError naming the field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    _expect(doc, dict, "manifest", "a JSON object")
 
     for key in ("tasks", "modalities", "seeds", "output"):
         if key not in doc:
             raise ValidationError(f"manifest missing required field {key!r}")
 
     tasks = []
-    for i, entry in enumerate(doc["tasks"]):
+    for i, entry in enumerate(_expect(doc["tasks"], list, "tasks", "a list")):
+        _expect(entry, dict, f"tasks[{i}]", "an object")
         if "name" not in entry or "classes" not in entry:
             raise ValidationError(f"task {i}: missing required field 'name' or 'classes'")
-        tasks.append(TaskSpec(name=str(entry["name"]), class_labels=tuple(entry["classes"])))
+        classes = entry["classes"]
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise ValidationError(
+                f"manifest field 'tasks[{i}].classes' must be a list of class-label strings, got {classes!r}")
+        tasks.append(TaskSpec(name=str(entry["name"]), class_labels=tuple(classes)))
 
     modalities = []
-    for i, entry in enumerate(doc["modalities"]):
+    for i, entry in enumerate(_expect(doc["modalities"], list, "modalities", "a list")):
+        _expect(entry, dict, f"modalities[{i}]", "an object")
         for key in ("name", "path", "dim"):
             if key not in entry:
                 raise ValidationError(f"modality {i}: missing required field {key!r}")
         modalities.append(ModalitySpec(
             name=str(entry["name"]),
             path=str(entry["path"]),
-            dim=int(entry["dim"]),
-            normalize=bool(entry.get("normalize", False)),
+            dim=_as_int(entry["dim"], f"modalities[{i}].dim"),
+            normalize=_expect(entry.get("normalize", False), bool, f"modalities[{i}].normalize", "true or false"),
         ))
 
-    fusion = doc.get("fusion", {}).get("strategy", "concat")
-    bgmm_cfg = BgmmConfig.from_dict(doc.get("bgmm", {})) if doc.get("bgmm") else BgmmConfig()
+    fusion = _expect(doc.get("fusion") or {}, dict, "fusion", "an object")
+    bgmm = _expect(doc.get("bgmm") or {}, dict, "bgmm", "an object")
+    seeds = _expect(doc["seeds"], list, "seeds", "a list of integers")
     return ExperimentManifest(
         tasks=tuple(tasks),
         modalities=tuple(modalities),
-        fusion_strategy=fusion,
-        bgmm_config=bgmm_cfg,
-        seeds=tuple(int(s) for s in doc["seeds"]),
+        fusion_strategy=fusion.get("strategy", "concat"),
+        bgmm_config=BgmmConfig.from_dict(bgmm),
+        seeds=tuple(_as_int(s, f"seeds[{i}]") for i, s in enumerate(seeds)),
         output_path=str(doc["output"]),
-        use_class_priors=bool(doc.get("use_class_priors", False)),
+        use_class_priors=_expect(doc.get("use_class_priors", False), bool, "use_class_priors", "true or false"),
     )
 
 

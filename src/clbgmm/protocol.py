@@ -2,16 +2,19 @@
 
 Trains tasks strictly in sequence (training data of a finished task is
 released and never re-read), fills the lower-triangular accuracy matrix
-after each task, optionally trains joint-reference models for the
+after each task, optionally records the joint reference for the
 intransigence measure, and aggregates runs across seeds.
+
+Each class model depends only on its own training rows, the frozen task-1
+normalizer, its per-class seed and the config, so the model trained on
+tasks 1..k jointly is the continual model after task k. The run therefore
+takes the joint reference from the diagonal a_{k,k} of the accuracy
+matrix; ``train_joint_reference`` is the independent refit that checks it.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,10 +30,6 @@ from .ensemble import (
 from .errors import ValidationError
 from .fusion import fit_normalizer
 from .metrics import AccuracyMatrix, MetricsReport, compute_report
-
-ENV_THREADS = "CLBGMM_THREADS"
-
-logger = logging.getLogger("clbgmm")
 
 
 @dataclass
@@ -147,12 +146,8 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
         if pred == truth:
             per_class_correct[truth] += 1
 
-    joint_refs = None
-    if compute_joint_reference:
-        joint_refs = [
-            train_joint_reference(manifest, tables, k, seed)
-            for k in range(1, len(task_names) + 1)
-        ]
+    # the joint model for tasks 1..k is the continual model after task k
+    joint_refs = [row[-1] for row in rows] if compute_joint_reference else None
 
     return RunResult(
         matrix=acc_matrix,
@@ -169,8 +164,12 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
 def train_joint_reference(manifest: ExperimentManifest, tables, k: int, seed: int) -> float:
     """Accuracy on task k's test set of a model trained on tasks 1..k jointly.
 
-    Uses the same ensemble family and the same per-class seeds as the
-    continual run, so the class-conditional models coincide exactly.
+    This is an independent refit from the tables: it routes the data again
+    and fits every class of tasks 1..k anew. It uses the same ensemble
+    family and the same per-class seeds as the continual run, so the class
+    models coincide exactly and the value equals the a_{k,k} that
+    ``run_continual`` records as its joint reference; tests use it to
+    check that identity.
     """
     batches = build_task_sequence(manifest, tables)
     if not (1 <= k <= len(batches)):
@@ -210,31 +209,11 @@ def oracle_union_accuracy(preds_a, preds_b, truth) -> float:
     return hits / len(truth)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        logger.warning("%s=%r is not a positive integer; using 1 thread", ENV_THREADS, raw)
-        return 1
-    return threads
-
-
 def multi_seed(manifest: ExperimentManifest, tables,
                compute_joint_reference: bool = True) -> tuple:
-    """Run every manifest seed; returns (list of RunResult, AggregateResult)."""
-    seeds = list(manifest.seeds)
-    workers = min(_thread_cap(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: run_continual(manifest, tables, s, compute_joint_reference),
-                seeds))
-    else:
-        results = [run_continual(manifest, tables, s, compute_joint_reference)
-                   for s in seeds]
+    """Run every manifest seed in turn; returns (list of RunResult, AggregateResult)."""
+    results = [run_continual(manifest, tables, s, compute_joint_reference)
+               for s in manifest.seeds]
     return results, aggregate(results)
 
 

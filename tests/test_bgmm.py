@@ -33,6 +33,19 @@ class TestConfig:
         cfg = BgmmConfig(max_components=4, covariance_type="full")
         assert BgmmConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("setting", [
+        {"max_components": "x"}, {"max_components": 2.0}, {"covariance_type": 1},
+        {"variance_floor": True}, {"weight_concentration_prior": "x"}, {"elbo_tolerance": None},
+        {"bogus": 1},
+    ])
+    def test_from_dict_names_bad_setting(self, setting):
+        with pytest.raises(ValidationError, match=repr(next(iter(setting)))):
+            BgmmConfig.from_dict(setting)
+
+    def test_from_dict_accepts_ints_for_floats_and_null_derived_values(self):
+        cfg = BgmmConfig.from_dict({"variance_floor": 1, "precision_prior_rate": None})
+        assert cfg == BgmmConfig(variance_floor=1)
+
 
 class TestFit:
     def test_degenerate_point_cloud(self):

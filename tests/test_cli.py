@@ -43,6 +43,20 @@ class TestSynth:
         assert len(classes) == 22
 
 
+# field named in the error -> a change that gives it the wrong shape
+MALFORMED_MANIFESTS = {
+    "seeds": lambda m: m.__setitem__("seeds", ["x"]),
+    "dim": lambda m: m["modalities"][0].__setitem__("dim", "x"),
+    "tasks": lambda m: m.__setitem__("tasks", 5),
+    "max_components": lambda m: m.__setitem__("bgmm", {"max_components": "x"}),
+    "bogus": lambda m: m.__setitem__("bgmm", {"bogus": 1}),
+    "fusion": lambda m: m.__setitem__("fusion", "concat"),
+    "classes": lambda m: m["tasks"][0].__setitem__("classes", "basic_0"),
+    "normalize": lambda m: m["modalities"][1].__setitem__("normalize", "false"),
+    "use_class_priors": lambda m: m.__setitem__("use_class_priors", "false"),
+}
+
+
 class TestRun:
     def test_produces_triangle(self, synth_dir):
         assert main(["run", "--manifest", str(synth_dir / "manifest.json")]) == 0
@@ -83,6 +97,16 @@ class TestRun:
         ])
         assert main(["run", "--manifest", manifest]) == 2
         assert "line 7, column f_0: non-finite value 'inf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", list(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_field_exits_2(self, synth_dir, tmp_path, capsys, field):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        MALFORMED_MANIFESTS[field](manifest)
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        assert main(["run", "--manifest", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_byte_identical_reruns(self, synth_dir, tmp_path):
         out1 = tmp_path / "r1" / "res"

@@ -69,6 +69,18 @@ class TestParseManifest:
         with pytest.raises(ValidationError, match="seeds"):
             parse_manifest(json.dumps(doc))
 
+    @pytest.mark.parametrize("field,value", [
+        ("seeds", [1.5]), ("seeds", [True]), ("seeds", ["1"]), ("dim", 2.9), ("dim", "2"),
+    ])
+    def test_integer_field_is_not_truncated_or_cast(self, field, value):
+        doc = json.loads(json.dumps(MINIMAL))
+        if field == "seeds":
+            doc["seeds"] = value
+        else:
+            doc["modalities"][0]["dim"] = value
+        with pytest.raises(ValidationError, match=rf"{field}.*must be an integer"):
+            parse_manifest(json.dumps(doc))
+
 
 class TestLoadFeatureTable:
     def write_csv(self, tmp_path, lines):

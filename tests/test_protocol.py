@@ -16,7 +16,6 @@ from clbgmm.dataset import (
 from clbgmm.ensemble import ClassConditionalEnsemble, predict_batch
 from clbgmm.errors import ValidationError
 from clbgmm.protocol import (
-    _thread_cap,
     aggregate,
     load_run_result,
     multi_seed,
@@ -85,11 +84,11 @@ class TestRunContinual:
         assert part.matrix.to_list() == full.matrix.to_list()[:2]
 
 
-def uneven_train_tables(tables):
-    """Keep 30, 20, 10, 30, ... training rows of the classes in turn, so
-    the class priors differ."""
+def uneven_train_tables(tables, kept=lambda i: (30, 20, 10)[i % 3]):
+    """Keep kept(i) training rows of class i (by default 30, 20, 10, 30,
+    ...), so the class priors differ."""
     classes = list(dict.fromkeys(tables[0].class_labels))
-    quota = {c: (30, 20, 10)[i % 3] for i, c in enumerate(classes)}
+    quota = {c: kept(i) for i, c in enumerate(classes)}
     seen = {c: 0 for c in classes}
     keep = []
     for label, split in zip(tables[0].class_labels, tables[0].splits):
@@ -144,6 +143,39 @@ class TestCachedScoring:
 
 
 class TestJointReference:
+    @pytest.mark.parametrize("covariance_type", ["diagonal", "full"])
+    @pytest.mark.parametrize("use_class_priors", [False, True])
+    def test_independent_refit_equals_diagonal(self, covariance_type, use_class_priors):
+        manifest, tables = synthetic_setup(spread=2.0)
+        manifest = ExperimentManifest(
+            tasks=manifest.tasks, modalities=manifest.modalities, fusion_strategy="concat",
+            bgmm_config=BgmmConfig(max_components=5, covariance_type=covariance_type),
+            seeds=manifest.seeds, output_path="out", use_class_priors=use_class_priors)
+        tables = uneven_train_tables(tables, lambda i: 30 - 7 * i % 15)  # drop 0..14 rows
+        result = run_continual(manifest, tables, seed=9, compute_joint_reference=False)
+        assert len(set(result.ensemble.class_train_counts.values())) == 8
+        for k in range(1, result.matrix.n_tasks + 1):
+            assert train_joint_reference(manifest, tables, k, seed=9) == result.matrix.get(k, k)
+
+    def test_no_refit_and_one_routing_pass(self, monkeypatch):
+        import clbgmm.ensemble as ensemble_module
+        import clbgmm.protocol as protocol_module
+        fits, routes = [], []
+        fit, route = ensemble_module.fit, protocol_module.build_task_sequence
+        monkeypatch.setattr(ensemble_module, "fit",
+                            lambda *a: fits.append(1) or fit(*a))
+        monkeypatch.setattr(protocol_module, "build_task_sequence",
+                            lambda *a: routes.append(1) or route(*a))
+        manifest, tables = synthetic_setup()
+        counts = {}
+        for joint in (False, True):
+            fits.clear()
+            routes.clear()
+            result = run_continual(manifest, tables, seed=4, compute_joint_reference=joint)
+            counts[joint] = (len(fits), len(routes))
+        assert result.matrix.n_tasks == 3
+        assert counts[True] == counts[False] == (result.ensemble.class_count, 1)
+
     def test_k1_matches_continual_diagonal(self):
         manifest, tables = synthetic_setup()
         result = run_continual(manifest, tables, seed=4, compute_joint_reference=False)
@@ -195,20 +227,6 @@ class TestOracleUnion:
 
 
 class TestMultiSeed:
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_setting_warns_and_falls_back(self, monkeypatch, caplog, value):
-        monkeypatch.setenv("CLBGMM_THREADS", value)
-        with caplog.at_level("WARNING", logger="clbgmm"):
-            assert _thread_cap() == 1
-        assert [r.name for r in caplog.records] == ["clbgmm"]
-        assert "CLBGMM_THREADS" in caplog.text and repr(value) in caplog.text
-
-    def test_valid_thread_setting_is_silent(self, monkeypatch, caplog):
-        monkeypatch.setenv("CLBGMM_THREADS", "2")
-        with caplog.at_level("WARNING", logger="clbgmm"):
-            assert _thread_cap() == 2
-        assert caplog.records == []
-
     def test_single_seed_zero_std(self):
         manifest, tables = synthetic_setup(seeds=(1,))
         _, agg = multi_seed(manifest, tables, compute_joint_reference=False)
