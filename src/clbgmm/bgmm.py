@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import cholesky, cho_solve, eigh
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.special import digamma, gammaln
 
 from .errors import NumericalError, ValidationError
 
@@ -154,7 +155,9 @@ class VariationalState:
 
     shape/rate hold the Gamma precision posteriors (spherical: rate (J,);
     diagonal: rate (J, D)); dof/scale hold the Wishart posterior for the
-    full structure. Unused fields stay None.
+    full structure, and logdet_w/elog_det (J,) the log-determinant of
+    scale and E[log det precision] that the E-step computes for the KL
+    term. Unused fields stay None.
     """
 
     covariance_type: str
@@ -166,10 +169,64 @@ class VariationalState:
     rate: np.ndarray | None = None
     dof: np.ndarray | None = None
     scale: np.ndarray | None = None
+    logdet_w: np.ndarray | None = None
+    elog_det: np.ndarray | None = None
     elbo_trace: list = field(default_factory=list)
 
     def expected_weights(self) -> np.ndarray:
         return self.alpha / self.alpha.sum()
+
+
+# ---------------------------------------------------------------------------
+# numerical kernels
+# ---------------------------------------------------------------------------
+
+def _factor(mats: np.ndarray, what: str, invert: bool = False):
+    """Lower Cholesky factors of a (J, D, D) stack of SPD matrices, and
+    their inverses if invert (else None).
+
+    Each component goes through LAPACK potrf/potrs exactly as in
+    scipy.linalg.cholesky/cho_solve, so the results are bit-identical to
+    theirs without their per-call checks; the finite check runs once on
+    the whole stack. (np.linalg.cholesky differs from potrf in the low
+    bits.) The factors keep LAPACK's Fortran order in each slice, so the
+    products taken with them run the same BLAS path as on potrf's output.
+    """
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"{what} of component {int(np.argmin(finite))} is not finite")
+    j, d, _ = mats.shape
+    low = np.empty_like(mats).transpose(0, 2, 1)
+    inv = np.empty_like(mats) if invert else None
+    eye = np.eye(d)
+    for k in range(j):
+        c, info = dpotrf(mats[k], lower=1)
+        if info:
+            raise NumericalError(f"{what} of component {k} is not positive definite")
+        low[k] = c
+        if invert:
+            inv[k] = dpotrs(c, eye, lower=1)[0]
+    return low, inv
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a 2-D array, bit-for-bit equal to
+    scipy.special.logsumexp(a, axis=1) (scipy 1.17's algorithm).
+
+    The maximal terms of each row are split out of the sum for precision;
+    rows whose result is not finite fall back to the direct formula.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=1, keepdims=True)
+        is_max = a == a_max
+        n_max = np.sum(is_max, axis=1, keepdims=True, dtype=a.dtype)
+        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / n_max)
+        out = (np.log1p(rest) + np.log(n_max) + a_max)[:, 0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=1)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +317,18 @@ def _m_step(X: np.ndarray, resp: np.ndarray, pri: _Priors,
             state.shape = pri.a0 + 0.5 * nk * d
             state.rate = pri.b0 + 0.5 * (sq.sum(axis=1) + shrink * (dev ** 2).sum(axis=1))
     else:
-        j = resp.shape[1]
         state.dof = pri.nu0 + nk
-        scale = np.empty((j, d, d))
-        for k in range(j):
-            xc = X - xbar[k]
-            scatter = (resp[:, k][:, None] * xc).T @ xc
-            w_inv = pri.w0_inv + scatter + shrink[k] * np.outer(dev[k], dev[k])
-            w_inv = 0.5 * (w_inv + w_inv.T)
-            try:
-                low = cholesky(w_inv, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"scale matrix update failed for component {k}") from exc
-            w = cho_solve((low, True), np.eye(d))
-            scale[k] = 0.5 * (w + w.T)
-        state.scale = scale
+        xc = X[None, :, :] - xbar[:, None, :]                           # (J, N, D)
+        scatter = (resp.T[:, :, None] * xc).transpose(0, 2, 1) @ xc
+        w_inv = pri.w0_inv + scatter + shrink[:, None, None] * (dev[:, :, None] * dev[:, None, :])
+        w_inv = 0.5 * (w_inv + w_inv.transpose(0, 2, 1))
+        _, w = _factor(w_inv, "inverse scale matrix", invert=True)
+        state.scale = 0.5 * (w + w.transpose(0, 2, 1))
 
 
 def _expected_log_density(X: np.ndarray, state: VariationalState) -> np.ndarray:
     """Per-sample, per-component expected Gaussian log density + E[log pi]."""
-    n, d = X.shape
+    d = X.shape[1]
     elog_pi = digamma(state.alpha) - digamma(state.alpha.sum())
     m = state.means
     if state.covariance_type == "diagonal":
@@ -295,17 +344,15 @@ def _expected_log_density(X: np.ndarray, state: VariationalState) -> np.ndarray:
         log_dens = 0.5 * d * elog_lam - 0.5 * d * LOG_2PI \
             - 0.5 * (prec * sq + d / state.beta)
     else:
-        j = m.shape[0]
-        quad = np.empty((n, j))
-        elog_det = np.empty(j)
-        for k in range(j):
-            low = cholesky(state.scale[k], lower=True)
-            y = (X - m[k]) @ low
-            quad[:, k] = (y ** 2).sum(axis=1)
-            logdet_w = 2.0 * np.sum(np.log(np.diag(low)))
-            elog_det[k] = np.sum(digamma(0.5 * (state.dof[k] + 1 - np.arange(1, d + 1)))) \
-                + d * np.log(2.0) + logdet_w
-        log_dens = 0.5 * elog_det - 0.5 * d * LOG_2PI \
+        low, _ = _factor(state.scale, "scale matrix")
+        y = (X[None, :, :] - m[:, None, :]) @ low                       # (J, N, D)
+        # C order, as the per-component loop built it: the row reductions
+        # downstream then sum in the same order
+        quad = np.ascontiguousarray((y ** 2).sum(axis=2).T)             # (N, J)
+        state.logdet_w = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+        state.elog_det = digamma(0.5 * (state.dof[:, None] + 1 - np.arange(1, d + 1))).sum(axis=1) \
+            + d * np.log(2.0) + state.logdet_w
+        log_dens = 0.5 * state.elog_det - 0.5 * d * LOG_2PI \
             - 0.5 * (state.dof * quad + d / state.beta)
     return elog_pi[None, :] + log_dens
 
@@ -336,23 +383,25 @@ def _kl_terms(pri: _Priors, state: VariationalState) -> float:
                      + pri.a0 * (np.log(b) - np.log(pri.b0))
                      + a * (pri.b0 - b) / b)
     else:
+        # logdet_w and elog_det come from the E-step on the same scale
         nu, w = state.dof, state.scale
         idx = np.arange(1, d + 1)
-        for k in range(j):
-            low = cholesky(w[k], lower=True)
-            logdet_w = 2.0 * np.sum(np.log(np.diag(low)))
-            elog_det = np.sum(digamma(0.5 * (nu[k] + 1 - idx))) + d * np.log(2.0) + logdet_w
-            quad = nu[k] * dev[k] @ w[k] @ dev[k]
-            kl += 0.5 * d * np.log(beta[k] / pri.beta0) - 0.5 * d \
-                + 0.5 * pri.beta0 * (quad + d / beta[k])
-            log_b_q = -0.5 * nu[k] * logdet_w - 0.5 * nu[k] * d * np.log(2.0) \
-                - 0.25 * d * (d - 1) * np.log(np.pi) \
-                - np.sum(gammaln(0.5 * (nu[k] + 1 - idx)))
-            log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
-                - 0.25 * d * (d - 1) * np.log(np.pi) \
-                - np.sum(gammaln(0.5 * (pri.nu0 + 1 - idx)))
-            kl += log_b_q - log_b_p + 0.5 * (nu[k] - pri.nu0) * elog_det \
-                + 0.5 * nu[k] * (np.trace(pri.w0_inv @ w[k]) - d)
+        quad = (((nu[:, None] * dev)[:, None, :] @ w) @ dev[:, :, None])[:, 0, 0]
+        mean_kl = 0.5 * d * np.log(beta / pri.beta0) - 0.5 * d \
+            + 0.5 * pri.beta0 * (quad + d / beta)
+        log_b_q = -0.5 * nu * state.logdet_w - 0.5 * nu * d * np.log(2.0) \
+            - 0.25 * d * (d - 1) * np.log(np.pi) \
+            - gammaln(0.5 * (nu[:, None] + 1 - idx)).sum(axis=1)
+        log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
+            - 0.25 * d * (d - 1) * np.log(np.pi) \
+            - np.sum(gammaln(0.5 * (pri.nu0 + 1 - idx)))
+        wishart_kl = log_b_q - log_b_p + 0.5 * (nu - pri.nu0) * state.elog_det \
+            + 0.5 * nu * (np.trace(pri.w0_inv @ w, axis1=1, axis2=2) - d)
+        # one term at a time, in component order, so the float sum is the
+        # same as a per-component accumulation
+        for mean_term, wishart_term in zip(mean_kl.tolist(), wishart_kl.tolist()):
+            kl += mean_term
+            kl += wishart_term
     return float(kl)
 
 
@@ -370,9 +419,12 @@ def _fit_once(X: np.ndarray, config: BgmmConfig, pri: _Priors,
     for _ in range(config.max_iterations):
         _m_step(X, state.responsibilities, pri, state)
         log_dens = _expected_log_density(X, state)
-        log_norm = logsumexp(log_dens, axis=1)
+        log_norm = _logsumexp(log_dens)
         state.responsibilities = np.exp(log_dens - log_norm[:, None])
         value = float(log_norm.sum()) - _kl_terms(pri, state)
+        if not np.isfinite(value):
+            raise NumericalError(
+                f"evidence lower bound is not finite at iteration {len(state.elbo_trace) + 1}")
         state.elbo_trace.append(value)
         if abs(value - prev) < config.elbo_tolerance:
             break
@@ -400,15 +452,12 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
     elif config.covariance_type == "spherical":
         cov = np.maximum(state.rate[keep] / state.shape[keep], floor)
     else:
-        kept = np.where(keep)[0]
-        d = means.shape[1]
-        cov = np.empty((kept.shape[0], d, d))
-        for i, k in enumerate(kept):
-            prec = state.dof[k] * state.scale[k]
-            low = cholesky(prec, lower=True)
-            sigma = cho_solve((low, True), np.eye(d))
-            sigma = 0.5 * (sigma + sigma.T)
-            vals, vecs = eigh(sigma)
+        _, sigma = _factor(state.dof[keep][:, None, None] * state.scale[keep],
+                           "posterior precision", invert=True)
+        sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+        cov = np.empty_like(sigma)
+        for i in range(sigma.shape[0]):
+            vals, vecs = eigh(sigma[i])
             vals = np.maximum(vals, floor)
             cov[i] = vecs @ np.diag(vals) @ vecs.T
 
@@ -474,13 +523,11 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
         var = mix.covariances  # (J,)
         sq = ((X[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
         return -0.5 * (d * LOG_2PI + d * np.log(var)[None, :] + sq / var[None, :])
-    out = np.empty((X.shape[0], mix.n_components))
-    for k in range(mix.n_components):
-        low = cholesky(mix.covariances[k], lower=True)
-        y = np.linalg.solve(low, (X - m[k]).T).T
-        logdet = 2.0 * np.sum(np.log(np.diag(low)))
-        out[:, k] = -0.5 * (d * LOG_2PI + logdet + (y ** 2).sum(axis=1))
-    return out
+    low, _ = _factor(mix.covariances, "covariance")
+    y = np.linalg.solve(low, (X[None, :, :] - m[:, None, :]).transpose(0, 2, 1))  # (J, D, N)
+    quad = np.ascontiguousarray((y ** 2).sum(axis=1).T)                           # (N, J)
+    logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+    return -0.5 * (d * LOG_2PI + logdet[None, :] + quad)
 
 
 def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
@@ -488,7 +535,7 @@ def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != mix.dim:
         raise ValidationError(f"dimension mismatch: got {X.shape[1]}, mixture expects {mix.dim}")
-    return logsumexp(_component_log_density(mix, X) + np.log(mix.weights)[None, :], axis=1)
+    return _logsumexp(_component_log_density(mix, X) + np.log(mix.weights)[None, :])
 
 
 def log_likelihood(mix: FittedMixture, x) -> float:

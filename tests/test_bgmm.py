@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import cho_solve, cholesky
+from scipy.special import digamma, gammaln, logsumexp
 
+from clbgmm import bgmm
 from clbgmm.bgmm import (
     BgmmConfig,
     FittedMixture,
@@ -10,7 +15,7 @@ from clbgmm.bgmm import (
     fit,
     log_likelihood,
 )
-from clbgmm.errors import ValidationError
+from clbgmm.errors import NumericalError, ValidationError
 
 from _oracles import classical_em
 
@@ -181,3 +186,179 @@ class TestLogLikelihood:
         hi = float(mix.means.max()) + 10 * sigma
         total, _ = quad(lambda x: np.exp(log_likelihood(mix, [x])), lo, hi, limit=200)
         assert total == pytest.approx(1.0, abs=1e-3)
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_overflowing_data_raises(self, ct):
+        X = np.random.default_rng(0).normal(size=(40, 2)) * 1e160
+        with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+            fit(X, BgmmConfig(max_components=3, covariance_type=ct), seed=0)
+
+    def test_factor_names_non_finite_component(self):
+        mats = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.inf)])
+        with pytest.raises(NumericalError, match="component 2 is not finite"):
+            bgmm._factor(mats, "test matrix")
+
+    def test_factor_names_indefinite_component(self):
+        mats = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(NumericalError, match="component 1 is not positive definite"):
+            bgmm._factor(mats, "test matrix", invert=True)
+
+    def test_factor_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(6, 7, 7))
+        mats = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(7)
+        mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+        low, inv = bgmm._factor(mats, "test matrix", invert=True)
+        for k in range(mats.shape[0]):
+            ref = cholesky(mats[k], lower=True)
+            assert np.array_equal(low[k], ref)
+            assert np.array_equal(inv[k], cho_solve((ref, True), np.eye(7)))
+
+
+def _logsumexp_rows():
+    value = st.one_of(
+        st.sampled_from([-np.inf, np.nan, 0.0, 1.0, -2.5, 1e4, -1e4]),   # exact ties, -inf, NaN
+        st.builds(lambda sign, mag: sign * mag, st.sampled_from([-1.0, 1.0]),
+                  st.floats(1e-3, 1e4)),
+    )
+    return st.integers(1, 12).flatmap(lambda cols: st.lists(
+        st.one_of(st.lists(value, min_size=cols, max_size=cols),
+                  st.just([-np.inf] * cols)),
+        min_size=1, max_size=8))
+
+
+class TestLogsumexp:
+    @settings(max_examples=300, deadline=None)
+    @given(_logsumexp_rows())
+    def test_bit_equal_to_scipy(self, rows):
+        a = np.array(rows, dtype=np.float64)
+        assert np.array_equal(bgmm._logsumexp(a), logsumexp(a, axis=1), equal_nan=True)
+
+
+# The per-component full-covariance iteration as it was before the batched
+# rewrite, with scipy's cholesky/cho_solve/logsumexp: the reference that the
+# batched (J, D, D) iteration must reproduce bit for bit.
+
+def _loop_m_step(X, resp, pri, state):
+    n, d = X.shape
+    nk = resp.sum(axis=0) + 1e-12
+    xbar = (resp.T @ X) / nk[:, None]
+    state.alpha = pri.alpha0 + resp.sum(axis=0)
+    state.beta = pri.beta0 + nk
+    state.means = (pri.beta0 * pri.m0[None, :] + nk[:, None] * xbar) / state.beta[:, None]
+    shrink = (pri.beta0 * nk / state.beta)
+    dev = xbar - pri.m0[None, :]
+    j = resp.shape[1]
+    state.dof = pri.nu0 + nk
+    scale = np.empty((j, d, d))
+    for k in range(j):
+        xc = X - xbar[k]
+        scatter = (resp[:, k][:, None] * xc).T @ xc
+        w_inv = pri.w0_inv + scatter + shrink[k] * np.outer(dev[k], dev[k])
+        w_inv = 0.5 * (w_inv + w_inv.T)
+        low = cholesky(w_inv, lower=True)
+        w = cho_solve((low, True), np.eye(d))
+        scale[k] = 0.5 * (w + w.T)
+    state.scale = scale
+
+
+def _loop_expected_log_density(X, state):
+    n, d = X.shape
+    elog_pi = digamma(state.alpha) - digamma(state.alpha.sum())
+    m = state.means
+    j = m.shape[0]
+    quad_ = np.empty((n, j))
+    elog_det = np.empty(j)
+    for k in range(j):
+        low = cholesky(state.scale[k], lower=True)
+        y = (X - m[k]) @ low
+        quad_[:, k] = (y ** 2).sum(axis=1)
+        logdet_w = 2.0 * np.sum(np.log(np.diag(low)))
+        elog_det[k] = np.sum(digamma(0.5 * (state.dof[k] + 1 - np.arange(1, d + 1)))) \
+            + d * np.log(2.0) + logdet_w
+    log_dens = 0.5 * elog_det - 0.5 * d * bgmm.LOG_2PI \
+        - 0.5 * (state.dof * quad_ + d / state.beta)
+    return elog_pi[None, :] + log_dens
+
+
+def _loop_kl_terms(pri, state):
+    alpha, beta, m = state.alpha, state.beta, state.means
+    j, d = m.shape
+    kl = gammaln(alpha.sum()) - gammaln(j * pri.alpha0) \
+        + j * gammaln(pri.alpha0) - np.sum(gammaln(alpha)) \
+        + np.sum((alpha - pri.alpha0) * (digamma(alpha) - digamma(alpha.sum())))
+    dev = m - pri.m0[None, :]
+    nu, w = state.dof, state.scale
+    idx = np.arange(1, d + 1)
+    for k in range(j):
+        low = cholesky(w[k], lower=True)
+        logdet_w = 2.0 * np.sum(np.log(np.diag(low)))
+        elog_det = np.sum(digamma(0.5 * (nu[k] + 1 - idx))) + d * np.log(2.0) + logdet_w
+        quad_ = nu[k] * dev[k] @ w[k] @ dev[k]
+        kl += 0.5 * d * np.log(beta[k] / pri.beta0) - 0.5 * d \
+            + 0.5 * pri.beta0 * (quad_ + d / beta[k])
+        log_b_q = -0.5 * nu[k] * logdet_w - 0.5 * nu[k] * d * np.log(2.0) \
+            - 0.25 * d * (d - 1) * np.log(np.pi) \
+            - np.sum(gammaln(0.5 * (nu[k] + 1 - idx)))
+        log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
+            - 0.25 * d * (d - 1) * np.log(np.pi) \
+            - np.sum(gammaln(0.5 * (pri.nu0 + 1 - idx)))
+        kl += log_b_q - log_b_p + 0.5 * (nu[k] - pri.nu0) * elog_det \
+            + 0.5 * nu[k] * (np.trace(pri.w0_inv @ w[k]) - d)
+    return float(kl)
+
+
+def _loop_fit_full(X, config, seed):
+    pri = bgmm._resolve_priors(X, config)
+    resp = bgmm._init_responsibilities(X, config.max_components, np.random.default_rng(seed))
+    j = config.max_components
+    state = bgmm.VariationalState(covariance_type="full", responsibilities=resp,
+                                  alpha=np.zeros(j), beta=np.zeros(j),
+                                  means=np.zeros((j, X.shape[1])))
+    prev = -np.inf
+    for _ in range(config.max_iterations):
+        _loop_m_step(X, state.responsibilities, pri, state)
+        log_dens = _loop_expected_log_density(X, state)
+        log_norm = logsumexp(log_dens, axis=1)
+        state.responsibilities = np.exp(log_dens - log_norm[:, None])
+        value = float(log_norm.sum()) - _loop_kl_terms(pri, state)
+        state.elbo_trace.append(value)
+        if abs(value - prev) < config.elbo_tolerance:
+            break
+        prev = value
+    return state
+
+
+class TestBatchedFullIteration:
+    @pytest.mark.parametrize("n,d,j", [(120, 1, 6), (120, 3, 6), (150, 8, 10), (150, 18, 6), (5, 3, 10)])
+    def test_equals_per_component_loop(self, n, d, j):
+        rng = np.random.default_rng(d * 100 + n)
+        # as many clusters as components, so that every component keeps weight
+        centers = rng.normal(0.0, 4.0, size=(j, d))
+        X = centers[rng.integers(0, j, size=n)] + rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
+        config = BgmmConfig(max_components=j, covariance_type="full",
+                            max_iterations=20, elbo_tolerance=1e-300)
+        ref = _loop_fit_full(X, config, seed=3)
+        got = bgmm._fit_once(X, config, bgmm._resolve_priors(X, config),
+                             np.random.default_rng(3))
+        assert len(ref.elbo_trace) >= 10  # stops early only when the ELBO stops moving
+        assert np.array_equal(got.elbo_trace, ref.elbo_trace)
+        for name in ("scale", "dof", "means", "responsibilities"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_scoring_equals_per_component_loop(self):
+        rng = np.random.default_rng(5)
+        centers = rng.normal(0.0, 6.0, size=(3, 18))
+        X = centers[rng.integers(0, 3, size=200)] + rng.normal(size=(200, 18))
+        mix, _ = fit(X, BgmmConfig(max_components=4, covariance_type="full"), seed=2)
+        Y = rng.normal(size=(50, 18)) * 3.0
+        ref = np.empty((Y.shape[0], mix.n_components))
+        for k in range(mix.n_components):
+            low = cholesky(mix.covariances[k], lower=True)
+            y = np.linalg.solve(low, (Y - mix.means[k]).T).T
+            logdet = 2.0 * np.sum(np.log(np.diag(low)))
+            ref[:, k] = -0.5 * (18 * bgmm.LOG_2PI + logdet + (y ** 2).sum(axis=1))
+        assert mix.n_components > 1
+        assert np.array_equal(bgmm._component_log_density(mix, Y), ref)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clbgmm.cli import main
@@ -97,6 +98,20 @@ class TestRun:
         ])
         assert main(["run", "--manifest", manifest]) == 2
         assert "line 7, column f_0: non-finite value 'inf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_overflowing_features_exit_3(self, tmp_path, capsys, ct):
+        manifest = self.write_dataset(tmp_path, [
+            "a1,A,train,1e160", "a2,A,train,-2e160", "a3,A,train,3e160", "a4,A,test,0.0",
+            "b1,B,train,-1e160", "b2,B,train,2e160", "b3,B,train,-3e160", "b4,B,test,0.0",
+        ])
+        doc = json.loads(Path(manifest).read_text())
+        doc["modalities"][0]["normalize"] = False
+        doc["bgmm"] = {"covariance_type": ct, "max_components": 2}
+        Path(manifest).write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--manifest", manifest]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     @pytest.mark.parametrize("field", list(MALFORMED_MANIFESTS))
     def test_malformed_manifest_field_exits_2(self, synth_dir, tmp_path, capsys, field):
