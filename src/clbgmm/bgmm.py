@@ -8,6 +8,11 @@ and prunes low-weight components once after convergence.
 
 Point estimates (posterior means) populate the returned FittedMixture;
 scoring is a plain mixture density over those plug-in parameters.
+
+The iteration computes each term once (prior-only terms once per fit, the
+terms the E-step shares with the KL term once per iteration) but keeps every
+floating-point operation's operands and order, so a fit is bit-for-bit that
+of the per-term formulas.
 """
 
 from __future__ import annotations
@@ -155,9 +160,11 @@ class VariationalState:
 
     shape/rate hold the Gamma precision posteriors (spherical: rate (J,);
     diagonal: rate (J, D)); dof/scale hold the Wishart posterior for the
-    full structure, and logdet_w/elog_det (J,) the log-determinant of
-    scale and E[log det precision] that the E-step computes for the KL
-    term. Unused fields stay None.
+    full structure. The E-step also leaves the terms it shares with the KL
+    term: elog_pi = E[log pi] (J,); digamma_shape and log_rate, shaped as
+    shape and rate (spherical/diagonal); logdet_w/elog_det (J,), the
+    log-determinant of scale and E[log det precision] (full). Unused
+    fields stay None.
     """
 
     covariance_type: str
@@ -171,6 +178,9 @@ class VariationalState:
     scale: np.ndarray | None = None
     logdet_w: np.ndarray | None = None
     elog_det: np.ndarray | None = None
+    elog_pi: np.ndarray | None = None
+    digamma_shape: np.ndarray | None = None
+    log_rate: np.ndarray | None = None
     elbo_trace: list = field(default_factory=list)
 
     def expected_weights(self) -> np.ndarray:
@@ -214,18 +224,19 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     scipy.special.logsumexp(a, axis=1) (scipy 1.17's algorithm).
 
     The maximal terms of each row are split out of the sum for precision;
-    rows whose result is not finite fall back to the direct formula.
+    rows whose result is not finite fall back to the direct formula. Rows
+    with -inf or NaN raise floating-point warnings unless the caller holds
+    an np.errstate that ignores them.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=1, keepdims=True)
-        is_max = a == a_max
-        n_max = np.sum(is_max, axis=1, keepdims=True, dtype=a.dtype)
-        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
-        rest = np.where(rest == 0, rest, rest / n_max)
-        out = (np.log1p(rest) + np.log(n_max) + a_max)[:, 0]
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=1)))
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    n_max = is_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+    rest = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    rest = np.where(rest == 0, rest, rest / n_max)
+    out = (np.log1p(rest) + np.log(n_max) + a_max)[:, 0]
+    finite = np.isfinite(out)
+    if not finite.all():
+        out = np.where(finite, out, np.log(np.exp(a).sum(axis=1)))
     return out
 
 
@@ -235,14 +246,21 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Priors:
+    """Prior parameters, and the prior-only terms of the KL divergence."""
+
     alpha0: float
     beta0: float
     m0: np.ndarray
     a0: float                    # Gamma shape (spherical/diagonal)
     b0: np.ndarray | float       # Gamma rate: scalar (spherical) or (D,) (diagonal)
+    gammaln_j_alpha0: float      # gammaln(J * alpha0)
+    j_gammaln_alpha0: float      # J * gammaln(alpha0)
+    gammaln_a0: float
+    log_b0: np.ndarray | float
     nu0: float | None = None     # Wishart dof (full)
     w0_inv: np.ndarray | None = None
     w0_logdet: float | None = None
+    log_b_p: float | None = None  # log normaliser of the Wishart prior
 
 
 def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
@@ -257,15 +275,20 @@ def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
         rate = np.full(d, config.precision_prior_rate)
     else:
         rate = emp_var
-    pri = _Priors(alpha0=alpha0, beta0=config.mean_prior_strength, m0=m0,
-                  a0=a0, b0=rate)
-    if config.covariance_type == "spherical":
-        pri.b0 = float(rate.mean())
-    elif config.covariance_type == "full":
+    j = config.max_components
+    b0 = float(rate.mean()) if config.covariance_type == "spherical" else rate
+    pri = _Priors(alpha0=alpha0, beta0=config.mean_prior_strength, m0=m0, a0=a0, b0=b0,
+                  gammaln_j_alpha0=gammaln(j * alpha0), j_gammaln_alpha0=j * gammaln(alpha0),
+                  gammaln_a0=gammaln(a0), log_b0=np.log(b0))
+    if config.covariance_type == "full":
         # Wishart prior matching E[precision] = 1/rate per dimension
         pri.nu0 = d + a0
         pri.w0_inv = np.diag(pri.nu0 * rate)
         pri.w0_logdet = -float(np.sum(np.log(pri.nu0 * rate)))
+        idx = np.arange(1, d + 1)
+        pri.log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
+            - 0.25 * d * (d - 1) * np.log(np.pi) \
+            - gammaln(0.5 * (pri.nu0 + 1 - idx)).sum()
     return pri
 
 
@@ -293,13 +316,15 @@ def _init_responsibilities(X: np.ndarray, n_components: int,
     return resp
 
 
-def _m_step(X: np.ndarray, resp: np.ndarray, pri: _Priors,
+def _m_step(X: np.ndarray, x2: np.ndarray, resp: np.ndarray, pri: _Priors,
             state: VariationalState) -> None:
-    n, d = X.shape
-    nk = resp.sum(axis=0) + 1e-12
+    """Posterior updates from the responsibilities; x2 is X ** 2."""
+    d = X.shape[1]
+    counts = resp.sum(axis=0)
+    nk = counts + 1e-12
     xbar = (resp.T @ X) / nk[:, None]
 
-    state.alpha = pri.alpha0 + resp.sum(axis=0)
+    state.alpha = pri.alpha0 + counts
     state.beta = pri.beta0 + nk
     state.means = (pri.beta0 * pri.m0[None, :] + nk[:, None] * xbar) / state.beta[:, None]
 
@@ -308,7 +333,7 @@ def _m_step(X: np.ndarray, resp: np.ndarray, pri: _Priors,
 
     if state.covariance_type in ("spherical", "diagonal"):
         # per-dim scatter around the weighted mean
-        sq = resp.T @ (X ** 2) - nk[:, None] * xbar ** 2  # (J, D)
+        sq = resp.T @ x2 - nk[:, None] * xbar ** 2  # (J, D)
         sq = np.maximum(sq, 0.0)
         if state.covariance_type == "diagonal":
             state.shape = pri.a0 + 0.5 * nk
@@ -326,19 +351,24 @@ def _m_step(X: np.ndarray, resp: np.ndarray, pri: _Priors,
         state.scale = 0.5 * (w + w.transpose(0, 2, 1))
 
 
-def _expected_log_density(X: np.ndarray, state: VariationalState) -> np.ndarray:
-    """Per-sample, per-component expected Gaussian log density + E[log pi]."""
+def _expected_log_density(X: np.ndarray, x2: np.ndarray,
+                          state: VariationalState) -> np.ndarray:
+    """Per-sample, per-component expected Gaussian log density + E[log pi];
+    x2 is X ** 2."""
     d = X.shape[1]
-    elog_pi = digamma(state.alpha) - digamma(state.alpha.sum())
+    state.elog_pi = digamma(state.alpha) - digamma(state.alpha.sum())
     m = state.means
+    if state.covariance_type != "full":
+        state.digamma_shape = digamma(state.shape)
+        state.log_rate = np.log(state.rate)
     if state.covariance_type == "diagonal":
-        elog_lam = digamma(state.shape)[:, None] - np.log(state.rate)  # (J, D)
+        elog_lam = state.digamma_shape[:, None] - state.log_rate       # (J, D)
         prec = state.shape[:, None] / state.rate                       # (J, D)
-        quad = (X ** 2) @ prec.T - 2.0 * X @ (prec * m).T + np.sum(prec * m ** 2, axis=1)
+        quad = x2 @ prec.T - 2.0 * X @ (prec * m).T + (prec * m ** 2).sum(axis=1)
         log_dens = 0.5 * elog_lam.sum(axis=1) - 0.5 * d * LOG_2PI \
             - 0.5 * (quad + d / state.beta)
     elif state.covariance_type == "spherical":
-        elog_lam = digamma(state.shape) - np.log(state.rate)           # (J,)
+        elog_lam = state.digamma_shape - state.log_rate                # (J,)
         prec = state.shape / state.rate
         sq = ((X[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)        # (N, J)
         log_dens = 0.5 * d * elog_lam - 0.5 * d * LOG_2PI \
@@ -354,34 +384,35 @@ def _expected_log_density(X: np.ndarray, state: VariationalState) -> np.ndarray:
             + d * np.log(2.0) + state.logdet_w
         log_dens = 0.5 * state.elog_det - 0.5 * d * LOG_2PI \
             - 0.5 * (state.dof * quad + d / state.beta)
-    return elog_pi[None, :] + log_dens
+    return state.elog_pi[None, :] + log_dens
 
 
 def _kl_terms(pri: _Priors, state: VariationalState) -> float:
-    """KL(q || prior) for the weight and mean/precision posteriors."""
+    """KL(q || prior) for the weight and mean/precision posteriors; reads
+    the terms the E-step left on the state."""
     alpha, beta, m = state.alpha, state.beta, state.means
-    j, d = m.shape
+    d = m.shape[1]
 
-    kl = gammaln(alpha.sum()) - gammaln(j * pri.alpha0) \
-        + j * gammaln(pri.alpha0) - np.sum(gammaln(alpha)) \
-        + np.sum((alpha - pri.alpha0) * (digamma(alpha) - digamma(alpha.sum())))
+    kl = gammaln(alpha.sum()) - pri.gammaln_j_alpha0 \
+        + pri.j_gammaln_alpha0 - gammaln(alpha).sum() \
+        + ((alpha - pri.alpha0) * state.elog_pi).sum()
 
     dev = m - pri.m0[None, :]
     if state.covariance_type == "diagonal":
         a, b = state.shape, state.rate
-        kl += np.sum(d * (0.5 * np.log(beta / pri.beta0) - 0.5)
-                     + 0.5 * pri.beta0 * ((a[:, None] / b * dev ** 2).sum(axis=1) + d / beta))
-        kl += np.sum((a[:, None] - pri.a0) * digamma(a)[:, None]
-                     - gammaln(a)[:, None] + gammaln(pri.a0)
-                     + pri.a0 * (np.log(b) - np.log(pri.b0)[None, :])
-                     + a[:, None] * (pri.b0[None, :] - b) / b)
+        kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
+               + 0.5 * pri.beta0 * ((a[:, None] / b * dev ** 2).sum(axis=1) + d / beta)).sum()
+        kl += ((a[:, None] - pri.a0) * state.digamma_shape[:, None]
+               - gammaln(a)[:, None] + pri.gammaln_a0
+               + pri.a0 * (state.log_rate - pri.log_b0[None, :])
+               + a[:, None] * (pri.b0[None, :] - b) / b).sum()
     elif state.covariance_type == "spherical":
         a, b = state.shape, state.rate
-        kl += np.sum(d * (0.5 * np.log(beta / pri.beta0) - 0.5)
-                     + 0.5 * pri.beta0 * (a / b * (dev ** 2).sum(axis=1) + d / beta))
-        kl += np.sum((a - pri.a0) * digamma(a) - gammaln(a) + gammaln(pri.a0)
-                     + pri.a0 * (np.log(b) - np.log(pri.b0))
-                     + a * (pri.b0 - b) / b)
+        kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
+               + 0.5 * pri.beta0 * (a / b * (dev ** 2).sum(axis=1) + d / beta)).sum()
+        kl += ((a - pri.a0) * state.digamma_shape - gammaln(a) + pri.gammaln_a0
+               + pri.a0 * (state.log_rate - pri.log_b0)
+               + a * (pri.b0 - b) / b).sum()
     else:
         # logdet_w and elog_det come from the E-step on the same scale
         nu, w = state.dof, state.scale
@@ -392,10 +423,7 @@ def _kl_terms(pri: _Priors, state: VariationalState) -> float:
         log_b_q = -0.5 * nu * state.logdet_w - 0.5 * nu * d * np.log(2.0) \
             - 0.25 * d * (d - 1) * np.log(np.pi) \
             - gammaln(0.5 * (nu[:, None] + 1 - idx)).sum(axis=1)
-        log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
-            - 0.25 * d * (d - 1) * np.log(np.pi) \
-            - np.sum(gammaln(0.5 * (pri.nu0 + 1 - idx)))
-        wishart_kl = log_b_q - log_b_p + 0.5 * (nu - pri.nu0) * state.elog_det \
+        wishart_kl = log_b_q - pri.log_b_p + 0.5 * (nu - pri.nu0) * state.elog_det \
             + 0.5 * nu * (np.trace(pri.w0_inv @ w, axis1=1, axis2=2) - d)
         # one term at a time, in component order, so the float sum is the
         # same as a per-component accumulation
@@ -405,7 +433,7 @@ def _kl_terms(pri: _Priors, state: VariationalState) -> float:
     return float(kl)
 
 
-def _fit_once(X: np.ndarray, config: BgmmConfig, pri: _Priors,
+def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
               rng: np.random.Generator) -> VariationalState:
     resp = _init_responsibilities(X, config.max_components, rng)
     state = VariationalState(
@@ -417,8 +445,8 @@ def _fit_once(X: np.ndarray, config: BgmmConfig, pri: _Priors,
     )
     prev = -np.inf
     for _ in range(config.max_iterations):
-        _m_step(X, state.responsibilities, pri, state)
-        log_dens = _expected_log_density(X, state)
+        _m_step(X, x2, state.responsibilities, pri, state)
+        log_dens = _expected_log_density(X, x2, state)
         log_norm = _logsumexp(log_dens)
         state.responsibilities = np.exp(log_dens - log_norm[:, None])
         value = float(log_norm.sum()) - _kl_terms(pri, state)
@@ -484,6 +512,8 @@ def fit(data, config: BgmmConfig, seed: int):
 
     Deterministic for fixed (data, config, seed). With n_restarts > 1 the
     restart with the highest final ELBO wins; ties go to the lowest index.
+    Floating-point warnings are silenced: a fit that overflows raises
+    NumericalError from its finite checks instead.
     """
     config.validate()
     X = np.asarray(data, dtype=np.float64)
@@ -494,16 +524,18 @@ def fit(data, config: BgmmConfig, seed: int):
     if not np.all(np.isfinite(X)):
         raise ValidationError("data contains non-finite values")
 
-    pri = _resolve_priors(X, config)
-    rng = np.random.default_rng(seed)
-    best_state = None
-    best_restart = 0
-    for r in range(config.n_restarts):
-        state = _fit_once(X, config, pri, rng)
-        if best_state is None or state.elbo_trace[-1] > best_state.elbo_trace[-1]:
-            best_state = state
-            best_restart = r
-    mixture = _plug_in(best_state, config, pri, seed, best_restart)
+    with np.errstate(all="ignore"):
+        pri = _resolve_priors(X, config)
+        x2 = X ** 2
+        rng = np.random.default_rng(seed)
+        best_state = None
+        best_restart = 0
+        for r in range(config.n_restarts):
+            state = _fit_once(X, x2, config, pri, rng)
+            if best_state is None or state.elbo_trace[-1] > best_state.elbo_trace[-1]:
+                best_state = state
+                best_restart = r
+        mixture = _plug_in(best_state, config, pri, seed, best_restart)
     return mixture, best_state
 
 
@@ -512,17 +544,26 @@ def fit(data, config: BgmmConfig, seed: int):
 # ---------------------------------------------------------------------------
 
 def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
-    """(N, J) Gaussian log densities under the plug-in parameters."""
+    """(N, J) Gaussian log densities under the plug-in parameters.
+
+    Diagonal and spherical: the quadratic form in GEMM form,
+    xc**2 @ P.T - 2 xc @ (P*mc).T + sum(P*mc**2) with precisions P, on data
+    and means centred on the mixture's weighted mean. Without the centring
+    the expansion cancels catastrophically when |x| and |m| are large next
+    to the spread (un-normalized features with a large offset).
+    """
     d = mix.dim
     m = mix.means
-    if mix.covariance_type == "diagonal":
-        var = mix.covariances  # (J, D)
-        quad = ((X[:, None, :] - m[None, :, :]) ** 2 / var[None, :, :]).sum(axis=2)
+    if mix.covariance_type != "full":
+        var = mix.covariances  # (J, D) diagonal, (J,) spherical
+        if mix.covariance_type == "spherical":
+            var = np.repeat(var[:, None], d, axis=1)
+        ref = mix.weights @ m
+        xc = X - ref
+        mc = m - ref
+        prec = 1.0 / var
+        quad = (xc ** 2) @ prec.T - xc @ (2.0 * prec * mc).T + (prec * mc ** 2).sum(axis=1)
         return -0.5 * (d * LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad)
-    if mix.covariance_type == "spherical":
-        var = mix.covariances  # (J,)
-        sq = ((X[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
-        return -0.5 * (d * LOG_2PI + d * np.log(var)[None, :] + sq / var[None, :])
     low, _ = _factor(mix.covariances, "covariance")
     y = np.linalg.solve(low, (X[None, :, :] - m[:, None, :]).transpose(0, 2, 1))  # (J, D, N)
     quad = np.ascontiguousarray((y ** 2).sum(axis=1).T)                           # (N, J)
@@ -535,7 +576,9 @@ def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != mix.dim:
         raise ValidationError(f"dimension mismatch: got {X.shape[1]}, mixture expects {mix.dim}")
-    return _logsumexp(_component_log_density(mix, X) + np.log(mix.weights)[None, :])
+    scores = _component_log_density(mix, X) + np.log(mix.weights)[None, :]
+    with np.errstate(all="ignore"):
+        return _logsumexp(scores)
 
 
 def log_likelihood(mix: FittedMixture, x) -> float:

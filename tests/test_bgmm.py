@@ -15,7 +15,16 @@ from clbgmm.bgmm import (
     fit,
     log_likelihood,
 )
+from clbgmm.dataset import (
+    ExperimentManifest,
+    ModalitySpec,
+    SyntheticConfig,
+    build_task_sequence,
+    generate_synthetic,
+)
+from clbgmm.ensemble import predict_batch
 from clbgmm.errors import NumericalError, ValidationError
+from clbgmm.protocol import run_continual
 
 from _oracles import classical_em
 
@@ -234,7 +243,9 @@ class TestLogsumexp:
     @given(_logsumexp_rows())
     def test_bit_equal_to_scipy(self, rows):
         a = np.array(rows, dtype=np.float64)
-        assert np.array_equal(bgmm._logsumexp(a), logsumexp(a, axis=1), equal_nan=True)
+        with np.errstate(all="ignore"):  # as its callers hold it
+            got = bgmm._logsumexp(a)
+        assert np.array_equal(got, logsumexp(a, axis=1), equal_nan=True)
 
 
 # The per-component full-covariance iteration as it was before the batched
@@ -341,7 +352,7 @@ class TestBatchedFullIteration:
         config = BgmmConfig(max_components=j, covariance_type="full",
                             max_iterations=20, elbo_tolerance=1e-300)
         ref = _loop_fit_full(X, config, seed=3)
-        got = bgmm._fit_once(X, config, bgmm._resolve_priors(X, config),
+        got = bgmm._fit_once(X, X ** 2, config, bgmm._resolve_priors(X, config),
                              np.random.default_rng(3))
         assert len(ref.elbo_trace) >= 10  # stops early only when the ELBO stops moving
         assert np.array_equal(got.elbo_trace, ref.elbo_trace)
@@ -362,3 +373,188 @@ class TestBatchedFullIteration:
             ref[:, k] = -0.5 * (18 * bgmm.LOG_2PI + logdet + (y ** 2).sum(axis=1))
         assert mix.n_components > 1
         assert np.array_equal(bgmm._component_log_density(mix, Y), ref)
+
+
+# The diagonal/spherical per-class iteration as it was before each term was
+# computed once per fit or iteration (X ** 2 every iteration, digamma and
+# log(rate) recomputed in the KL term, prior-only terms every iteration,
+# scipy's logsumexp): the reference the trimmed iteration must reproduce bit
+# for bit.
+
+def _ref_m_step(X, resp, pri, state):
+    d = X.shape[1]
+    nk = resp.sum(axis=0) + 1e-12
+    xbar = (resp.T @ X) / nk[:, None]
+    state.alpha = pri.alpha0 + resp.sum(axis=0)
+    state.beta = pri.beta0 + nk
+    state.means = (pri.beta0 * pri.m0[None, :] + nk[:, None] * xbar) / state.beta[:, None]
+    shrink = (pri.beta0 * nk / state.beta)
+    dev = xbar - pri.m0[None, :]
+    sq = resp.T @ (X ** 2) - nk[:, None] * xbar ** 2
+    sq = np.maximum(sq, 0.0)
+    if state.covariance_type == "diagonal":
+        state.shape = pri.a0 + 0.5 * nk
+        state.rate = pri.b0[None, :] + 0.5 * (sq + shrink[:, None] * dev ** 2)
+    else:
+        state.shape = pri.a0 + 0.5 * nk * d
+        state.rate = pri.b0 + 0.5 * (sq.sum(axis=1) + shrink * (dev ** 2).sum(axis=1))
+
+
+def _ref_expected_log_density(X, state):
+    d = X.shape[1]
+    elog_pi = digamma(state.alpha) - digamma(state.alpha.sum())
+    m = state.means
+    if state.covariance_type == "diagonal":
+        elog_lam = digamma(state.shape)[:, None] - np.log(state.rate)
+        prec = state.shape[:, None] / state.rate
+        quad_ = (X ** 2) @ prec.T - 2.0 * X @ (prec * m).T + np.sum(prec * m ** 2, axis=1)
+        log_dens = 0.5 * elog_lam.sum(axis=1) - 0.5 * d * bgmm.LOG_2PI \
+            - 0.5 * (quad_ + d / state.beta)
+    else:
+        elog_lam = digamma(state.shape) - np.log(state.rate)
+        prec = state.shape / state.rate
+        sq = ((X[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
+        log_dens = 0.5 * d * elog_lam - 0.5 * d * bgmm.LOG_2PI \
+            - 0.5 * (prec * sq + d / state.beta)
+    return elog_pi[None, :] + log_dens
+
+
+def _ref_kl_terms(pri, state):
+    alpha, beta, m = state.alpha, state.beta, state.means
+    j, d = m.shape
+    kl = gammaln(alpha.sum()) - gammaln(j * pri.alpha0) \
+        + j * gammaln(pri.alpha0) - np.sum(gammaln(alpha)) \
+        + np.sum((alpha - pri.alpha0) * (digamma(alpha) - digamma(alpha.sum())))
+    dev = m - pri.m0[None, :]
+    a, b = state.shape, state.rate
+    if state.covariance_type == "diagonal":
+        kl += np.sum(d * (0.5 * np.log(beta / pri.beta0) - 0.5)
+                     + 0.5 * pri.beta0 * ((a[:, None] / b * dev ** 2).sum(axis=1) + d / beta))
+        kl += np.sum((a[:, None] - pri.a0) * digamma(a)[:, None]
+                     - gammaln(a)[:, None] + gammaln(pri.a0)
+                     + pri.a0 * (np.log(b) - np.log(pri.b0)[None, :])
+                     + a[:, None] * (pri.b0[None, :] - b) / b)
+    else:
+        kl += np.sum(d * (0.5 * np.log(beta / pri.beta0) - 0.5)
+                     + 0.5 * pri.beta0 * (a / b * (dev ** 2).sum(axis=1) + d / beta))
+        kl += np.sum((a - pri.a0) * digamma(a) - gammaln(a) + gammaln(pri.a0)
+                     + pri.a0 * (np.log(b) - np.log(pri.b0))
+                     + a * (pri.b0 - b) / b)
+    return float(kl)
+
+
+def _ref_fit(X, config, seed):
+    """The chosen restart's state, as fit() picks it."""
+    pri = bgmm._resolve_priors(X, config)
+    rng = np.random.default_rng(seed)
+    j = config.max_components
+    best = None
+    for _ in range(config.n_restarts):
+        resp = bgmm._init_responsibilities(X, j, rng)
+        state = bgmm.VariationalState(covariance_type=config.covariance_type,
+                                      responsibilities=resp, alpha=np.zeros(j),
+                                      beta=np.zeros(j), means=np.zeros((j, X.shape[1])))
+        prev = -np.inf
+        for _ in range(config.max_iterations):
+            _ref_m_step(X, state.responsibilities, pri, state)
+            log_dens = _ref_expected_log_density(X, state)
+            log_norm = logsumexp(log_dens, axis=1)
+            state.responsibilities = np.exp(log_dens - log_norm[:, None])
+            value = float(log_norm.sum()) - _ref_kl_terms(pri, state)
+            state.elbo_trace.append(value)
+            if abs(value - prev) < config.elbo_tolerance:
+                break
+            prev = value
+        if best is None or state.elbo_trace[-1] > best.elbo_trace[-1]:
+            best = state
+    return best
+
+
+class TestTrimmedIteration:
+    # (n, d, components, max_iterations, n_restarts)
+    CASES = {
+        "d1": (120, 1, 6, 200, 1),
+        "d4": (150, 4, 8, 200, 1),
+        "d64": (200, 64, 6, 200, 1),
+        "stops_at_max_iterations": (150, 4, 8, 7, 1),
+        "three_restarts": (150, 4, 6, 200, 3),
+    }
+
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_reference_iteration(self, ct, case):
+        n, d, j, max_iterations, n_restarts = self.CASES[case]
+        rng = np.random.default_rng(d * 1000 + n + j)
+        # overlapping clusters, so that every fit takes several iterations
+        centers = rng.normal(0.0, 8.0 / np.sqrt(d), size=(j, d))
+        X = centers[rng.integers(0, j, size=n)] + rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, d)
+        config = BgmmConfig(max_components=j, covariance_type=ct,
+                            max_iterations=max_iterations, n_restarts=n_restarts)
+        ref = _ref_fit(X, config, seed=4)
+        _, got = fit(X, config, seed=4)
+        if case == "stops_at_max_iterations":
+            assert len(ref.elbo_trace) == max_iterations
+        else:
+            assert 3 <= len(ref.elbo_trace) < max_iterations
+        assert np.array_equal(got.elbo_trace, ref.elbo_trace)
+        for name in ("alpha", "means", "shape", "rate", "responsibilities"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def _broadcast_component_log_density(mix, X):
+    """Diagonal/spherical scoring as the (N, J, D) broadcast of (x - m)."""
+    d, m, var = mix.dim, mix.means, mix.covariances
+    if mix.covariance_type == "diagonal":
+        quad_ = ((X[:, None, :] - m[None, :, :]) ** 2 / var[None, :, :]).sum(axis=2)
+        return -0.5 * (d * bgmm.LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad_)
+    sq = ((X[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
+    return -0.5 * (d * bgmm.LOG_2PI + d * np.log(var)[None, :] + sq / var[None, :])
+
+
+def _random_mixture(rng, ct, j, d, offset):
+    weights = rng.uniform(0.1, 1.0, j)
+    covariances = rng.uniform(0.2, 3.0, (j, d) if ct == "diagonal" else j)
+    return FittedMixture(weights=weights / weights.sum(),
+                         means=offset + rng.normal(0.0, 3.0, (j, d)),
+                         covariances=covariances, covariance_type=ct, metadata={})
+
+
+class TestGemmScoring:
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal"])
+    @pytest.mark.parametrize("d", [1, 5, 64])
+    def test_matches_broadcast(self, ct, d):
+        rng = np.random.default_rng(d)
+        mix = _random_mixture(rng, ct, 7, d, offset=0.0)
+        X = rng.normal(0.0, 5.0, (300, d))
+        ref = _broadcast_component_log_density(mix, X)
+        got = bgmm._component_log_density(mix, X)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-11)
+
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal"])
+    def test_large_offset_does_not_cancel(self, ct):
+        # un-normalized features far from the origin: the uncentred expansion
+        # loses every digit of the quadratic form to x**2 ~ 1e16
+        rng = np.random.default_rng(8)
+        mix = _random_mixture(rng, ct, 5, 6, offset=1e8)
+        X = 1e8 + rng.normal(0.0, 4.0, (200, 6))
+        ref = _broadcast_component_log_density(mix, X)
+        got = bgmm._component_log_density(mix, X)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("use_class_priors", [False, True])
+    def test_same_labels_as_broadcast_on_readme_dataset(self, monkeypatch, use_class_priors):
+        # `clbgmm synth --basic 7 --compound 15 --seed 1` with its default manifest
+        ta, tb, tasks = generate_synthetic(SyntheticConfig(n_basic_classes=7,
+                                                           n_compound_classes=15), 1)
+        manifest = ExperimentManifest(
+            tasks=tuple(tasks),
+            modalities=(ModalitySpec("mod_a", "", 2, True), ModalitySpec("mod_b", "", 2, False)),
+            fusion_strategy="concat", bgmm_config=BgmmConfig(max_components=10),
+            seeds=(1,), output_path="out", use_class_priors=use_class_priors)
+        ens = run_continual(manifest, [ta, tb], seed=1, compute_joint_reference=False).ensemble
+        test_rows = np.vstack([ens.fusion.transform(b.test.features)
+                               for b in build_task_sequence(manifest, [ta, tb])])
+        got = predict_batch(ens, test_rows)
+        monkeypatch.setattr(bgmm, "_component_log_density", _broadcast_component_log_density)
+        assert got == predict_batch(ens, test_rows)
+        assert ens.class_count == 22 and len(got) == 220

@@ -1,7 +1,7 @@
 import json
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from clbgmm.cli import main
@@ -109,9 +109,14 @@ class TestRun:
         doc["modalities"][0]["normalize"] = False
         doc["bgmm"] = {"covariance_type": ct, "max_components": 2}
         Path(manifest).write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["run", "--manifest", manifest]) == 3
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        # the failure is reported by its message alone, not by numpy warnings
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("field", list(MALFORMED_MANIFESTS))
     def test_malformed_manifest_field_exits_2(self, synth_dir, tmp_path, capsys, field):
