@@ -303,14 +303,14 @@ def _init_responsibilities(X: np.ndarray, n_components: int,
     n_centers = min(n_components, n)
     probe = rng.uniform(X.min(axis=0), X.max(axis=0))
     first = int(np.argmin(np.linalg.norm(X - probe, axis=1)))
-    centers = [first]
-    min_dist = np.linalg.norm(X - X[first], axis=1)
+    # one distance column per center, kept for the final assignment
+    dists = [np.linalg.norm(X - X[first], axis=1)]
+    min_dist = dists[0]
     for _ in range(n_centers - 1):
         nxt = int(np.argmax(min_dist))
-        centers.append(nxt)
-        min_dist = np.minimum(min_dist, np.linalg.norm(X - X[nxt], axis=1))
-    dists = np.linalg.norm(X[:, None, :] - X[centers][None, :, :], axis=2)
-    assign = np.argmin(dists, axis=1)
+        dists.append(np.linalg.norm(X - X[nxt], axis=1))
+        min_dist = np.minimum(min_dist, dists[-1])
+    assign = np.argmin(np.stack(dists, axis=1), axis=1)
     resp = np.zeros((n, n_components))
     resp[np.arange(n), assign] = 1.0
     return resp

@@ -116,19 +116,14 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _final_predictions(result) -> dict:
-    return {sid: (truth, pred) for sid, truth, pred in result.per_task_predictions[-1]}
-
-
 def cmd_oracle(args) -> int:
     result_a = load_run_result(args.results_a)
     result_b = load_run_result(args.results_b)
-    preds_a = _final_predictions(result_a)
-    preds_b = _final_predictions(result_b)
-    if set(preds_a) != set(preds_b):
+    final_a = result_a.per_task_predictions[-1]
+    preds_b = {sid: pred for sid, _, pred in result_b.per_task_predictions[-1]}
+    if {sid for sid, _, _ in final_a} != set(preds_b):
         raise ValidationError("results cover different test sample ids")
 
-    by_task_a = result_a.per_task_predictions[-1]
     tasks = result_a.matrix.task_names
     # group final-row predictions by owning task, in row order
     sizes = result_a.per_task_test_sizes
@@ -136,11 +131,11 @@ def cmd_oracle(args) -> int:
     print("task,acc_a,acc_b,union")
     all_a, all_b, all_t = [], [], []
     for name, size in zip(tasks, sizes):
-        chunk = by_task_a[offset:offset + size]
+        chunk = final_a[offset:offset + size]
         offset += size
         truth = [t for _, t, _ in chunk]
         pa = [p for _, _, p in chunk]
-        pb = [preds_b[sid][1] for sid, _, _ in chunk]
+        pb = [preds_b[sid] for sid, _, _ in chunk]
         acc_a = sum(p == t for p, t in zip(pa, truth)) / size
         acc_b = sum(p == t for p, t in zip(pb, truth)) / size
         union = oracle_union_accuracy(pa, pb, truth)
@@ -188,7 +183,8 @@ def cmd_report(args) -> int:
 
     # per-class correct counts side by side, plus a difference column for
     # the first two runs
-    classes = sorted({c for _, r in loaded for c in r.per_class_correct_counts})
+    per_class = [result.per_class_correct() for _, result in loaded]
+    classes = sorted({c for counts in per_class for c in counts})
     with (out_dir / "per_class_correct.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["class"] + [stem for stem, _ in loaded]
@@ -196,7 +192,7 @@ def cmd_report(args) -> int:
             header.append(f"{loaded[0][0]}_minus_{loaded[1][0]}")
         writer.writerow(header)
         for cls in classes:
-            counts = [r.per_class_correct_counts.get(cls, 0) for _, r in loaded]
+            counts = [run_counts.get(cls, 0) for run_counts in per_class]
             row = [cls] + counts
             if len(loaded) >= 2:
                 row.append(counts[0] - counts[1])

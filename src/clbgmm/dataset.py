@@ -90,6 +90,10 @@ class ExperimentManifest:
     def __post_init__(self):
         if not self.tasks or not self.modalities:
             raise ValidationError("manifest needs at least one task and one modality")
+        names = [spec.name for spec in self.modalities]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValidationError(f"modality name {name!r} is declared more than once")
         owner: dict[str, str] = {}
         for task in self.tasks:
             for label in task.class_labels:

@@ -8,7 +8,7 @@ pure; indices are 1-based task numbers throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class MetricsReport:
     im: list | None
     final_macro_accuracy: float
     final_micro_accuracy: float
-    relative_evolution: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -70,7 +69,6 @@ class MetricsReport:
             "IM": self.im,
             "final_macro_accuracy": self.final_macro_accuracy,
             "final_micro_accuracy": self.final_micro_accuracy,
-            "relative_evolution": self.relative_evolution,
         }
 
 

@@ -35,9 +35,10 @@ from .metrics import AccuracyMatrix, MetricsReport, compute_report
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
-    per_task_predictions: list     # per k: list of (sample_id, truth, predicted)
+    # per k: list of (sample_id, truth, predicted); a result file stores only
+    # the final row (k = T), so a result loaded from one holds that row alone
+    per_task_predictions: list
     per_task_test_sizes: list
-    per_class_correct_counts: dict
     joint_reference_accuracies: list | None
     manifest_echo: dict
     seed: int
@@ -50,25 +51,24 @@ class RunResult:
             "task_names": list(self.matrix.task_names),
             "accuracy_matrix": self.matrix.to_list(),
             "per_task_predictions": [
-                [[sid, truth, pred] for sid, truth, pred in row]
-                for row in self.per_task_predictions
+                [[sid, truth, pred] for sid, truth, pred in self.per_task_predictions[-1]]
             ],
             "per_task_test_sizes": list(self.per_task_test_sizes),
-            "per_class_correct": dict(self.per_class_correct_counts),
             "joint_reference": self.joint_reference_accuracies,
             "ensembles": self.ensemble.to_dict(),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "RunResult":
+        rows = [[(sid, truth, pred) for sid, truth, pred in row]
+                for row in d["per_task_predictions"]]
+        sizes = list(d["per_task_test_sizes"])
+        if not rows or len(rows[-1]) != sum(sizes):
+            raise ValueError(f"the final prediction row needs {sum(sizes)} entries")
         return RunResult(
             matrix=AccuracyMatrix.from_rows(d["accuracy_matrix"], d["task_names"]),
-            per_task_predictions=[
-                [(sid, truth, pred) for sid, truth, pred in row]
-                for row in d["per_task_predictions"]
-            ],
-            per_task_test_sizes=list(d["per_task_test_sizes"]),
-            per_class_correct_counts=dict(d["per_class_correct"]),
+            per_task_predictions=rows,
+            per_task_test_sizes=sizes,
             joint_reference_accuracies=d.get("joint_reference"),
             manifest_echo=dict(d["config"]),
             seed=int(d["seed"]),
@@ -78,6 +78,14 @@ class RunResult:
     def metrics(self) -> MetricsReport:
         return compute_report(self.matrix, self.per_task_test_sizes,
                               self.joint_reference_accuracies)
+
+    def per_class_correct(self) -> dict:
+        """Correct final-row predictions per true class (zero counts kept)."""
+        final = self.per_task_predictions[-1]
+        counts = dict.fromkeys((truth for _, truth, _ in final), 0)
+        for _, truth, pred in final:
+            counts[truth] += int(pred == truth)
+        return counts
 
 
 @dataclass
@@ -140,12 +148,6 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
     task_names = tuple(t.name for t in manifest.tasks)
     acc_matrix = AccuracyMatrix.from_rows(rows, task_names)
 
-    per_class_correct: dict[str, int] = {}
-    for sid, truth, pred in predictions[-1]:
-        per_class_correct.setdefault(truth, 0)
-        if pred == truth:
-            per_class_correct[truth] += 1
-
     # the joint model for tasks 1..k is the continual model after task k
     joint_refs = [row[-1] for row in rows] if compute_joint_reference else None
 
@@ -153,7 +155,6 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
         matrix=acc_matrix,
         per_task_predictions=predictions,
         per_task_test_sizes=[len(labels) for _, labels, _, _ in test_sets],
-        per_class_correct_counts=per_class_correct,
         joint_reference_accuracies=joint_refs,
         manifest_echo=manifest_to_dict(manifest),
         seed=seed,

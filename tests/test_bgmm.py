@@ -558,3 +558,42 @@ class TestGemmScoring:
         monkeypatch.setattr(bgmm, "_component_log_density", _broadcast_component_log_density)
         assert got == predict_batch(ens, test_rows)
         assert ens.class_count == 22 and len(got) == 220
+
+
+def _broadcast_init_responsibilities(X, n_components, rng):
+    """Farthest-point init that assigns rows by an (N, J, D) broadcast."""
+    n = X.shape[0]
+    n_centers = min(n_components, n)
+    probe = rng.uniform(X.min(axis=0), X.max(axis=0))
+    first = int(np.argmin(np.linalg.norm(X - probe, axis=1)))
+    centers = [first]
+    min_dist = np.linalg.norm(X - X[first], axis=1)
+    for _ in range(n_centers - 1):
+        nxt = int(np.argmax(min_dist))
+        centers.append(nxt)
+        min_dist = np.minimum(min_dist, np.linalg.norm(X - X[nxt], axis=1))
+    dists = np.linalg.norm(X[:, None, :] - X[centers][None, :, :], axis=2)
+    resp = np.zeros((n, n_components))
+    resp[np.arange(n), np.argmin(dists, axis=1)] = 1.0
+    return resp
+
+
+class TestInitResponsibilities:
+    @pytest.mark.parametrize("kind", ["plain", "duplicated_rows", "more_components_than_rows",
+                                      "large_offset"])
+    def test_equals_broadcast_assignment(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for case in range(75):
+            n = int(rng.integers(1, 9 if kind == "more_components_than_rows" else 401))
+            d = int(rng.integers(1, 129))
+            j = int(rng.integers(n + 1, n + 6) if kind == "more_components_than_rows"
+                    else rng.integers(1, 13))
+            X = rng.normal(0.0, rng.uniform(0.1, 10.0), (n, d))
+            if kind == "duplicated_rows":
+                X = X[rng.integers(0, max(1, n // 5), size=n)]
+            if kind == "large_offset":
+                X += 1e8
+            seed = int(rng.integers(2**32))
+            got = bgmm._init_responsibilities(X, j, np.random.default_rng(seed))
+            ref = _broadcast_init_responsibilities(X, j, np.random.default_rng(seed))
+            assert np.array_equal(got, ref), (kind, case)

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from clbgmm.cli import main
+from clbgmm.dataset import load_feature_table, parse_manifest
+from clbgmm.protocol import load_run_result, run_continual, save_run_result
 
 
 def read(path):
@@ -128,6 +130,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    def test_duplicate_modality_name_exits_2(self, synth_dir, tmp_path, capsys):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        manifest["modalities"][1]["name"] = "mod_a"
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        assert main(["run", "--manifest", str(bad), "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'mod_a'" in err
+        assert not list(tmp_path.glob("res_*.json"))
+
     def test_byte_identical_reruns(self, synth_dir, tmp_path):
         out1 = tmp_path / "r1" / "res"
         out2 = tmp_path / "r2" / "res"
@@ -182,6 +194,19 @@ class TestMetrics:
         assert main(["metrics", "--results", bad]) == 2
         assert f"malformed results file {bad}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("final_row", [None, slice(1, None)], ids=["missing", "short"])
+    @pytest.mark.parametrize("command", ["oracle", "report"])
+    def test_incomplete_final_prediction_row_exits_2(self, results_file, tmp_path, capsys,
+                                                     final_row, command):
+        def cut(doc):
+            rows = doc["per_task_predictions"]
+            rows[-1:] = [] if final_row is None else [rows[-1][final_row]]
+        bad = self.rewrite(results_file, tmp_path, cut)
+        args = (["oracle", "--results-a", bad, "--results-b", bad] if command == "oracle"
+                else ["report", "--results", bad, "--out", str(tmp_path / "report")])
+        assert main(args) == 2
+        assert f"malformed results file {bad}" in capsys.readouterr().err
+
     def test_non_numeric_accuracy_exits_2(self, results_file, tmp_path, capsys):
         bad = self.rewrite(results_file, tmp_path,
                            lambda doc: doc["accuracy_matrix"][0].__setitem__(0, "high"))
@@ -228,3 +253,65 @@ class TestReport:
 
     def test_empty_results_exit_2(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "r")]) == 2
+
+
+class TestOldLayout:
+    """Result files written before only the final prediction row was kept.
+
+    They hold one prediction row per task k plus stored per-class counts;
+    every command must read them exactly as it reads the current layout.
+    """
+
+    @pytest.fixture
+    def layouts(self, synth_dir, tmp_path):
+        manifest = parse_manifest((synth_dir / "manifest.json").read_text())
+        tables = [load_feature_table(s.path, s.dim, s.name) for s in manifest.modalities]
+        (tmp_path / "old").mkdir()
+        (tmp_path / "new").mkdir()
+        for seed in (1, 2):
+            result = run_continual(manifest, tables, seed)
+            new = tmp_path / "new" / f"run_seed{seed}.json"
+            save_run_result(result, new)
+            doc = json.loads(new.read_text())
+            doc["per_task_predictions"] = [[list(p) for p in row]
+                                           for row in result.per_task_predictions]
+            counts = {}
+            for _, truth, pred in result.per_task_predictions[-1]:
+                counts[truth] = counts.get(truth, 0) + int(pred == truth)
+            doc["per_class_correct"] = counts
+            (tmp_path / "old" / new.name).write_text(
+                json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        return tmp_path / "old", tmp_path / "new"
+
+    def outputs(self, directory, tmp_path, capsys):
+        a, b = str(directory / "run_seed1.json"), str(directory / "run_seed2.json")
+        capsys.readouterr()
+        out = {}
+        for fmt in ("csv", "json"):
+            assert main(["metrics", "--results", a, "--format", fmt]) == 0
+            out[f"metrics_{fmt}"] = capsys.readouterr().out
+        assert main(["oracle", "--results-a", a, "--results-b", b]) == 0
+        out["oracle"] = capsys.readouterr().out
+        report = tmp_path / f"report_{directory.name}"
+        assert main(["report", "--results", a, b, "--out", str(report)]) == 0
+        out.update({p.name: p.read_text() for p in report.iterdir()})
+        return out
+
+    def test_old_file_loads_every_row(self, layouts):
+        old, _ = layouts
+        doc = json.loads((old / "run_seed1.json").read_text())
+        result = load_run_result(old / "run_seed1.json")
+        assert len(result.per_task_predictions) == result.matrix.n_tasks > 1
+        assert result.per_class_correct() == doc["per_class_correct"]
+
+    def test_commands_give_identical_output(self, layouts, tmp_path, capsys):
+        old, new = layouts
+        old_out = self.outputs(old, tmp_path, capsys)
+        new_out = self.outputs(new, tmp_path, capsys)
+        assert set(old_out) == {"metrics_csv", "metrics_json", "oracle",
+                                "run_seed1_task_accuracy.csv", "run_seed1_metrics.csv",
+                                "run_seed2_task_accuracy.csv", "run_seed2_metrics.csv",
+                                "per_class_correct.csv", "relative_evolution.csv"}
+        assert old_out == new_out
+        assert set(json.loads(new_out["metrics_json"])) == {
+            "AA", "AIA", "FM", "IM", "final_macro_accuracy", "final_micro_accuracy"}

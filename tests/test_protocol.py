@@ -252,13 +252,30 @@ class TestSerialization:
         path = tmp_path / "run.json"
         save_run_result(result, path)
         back = load_run_result(path)
-        assert "normalizer" not in json.loads(path.read_text())
+        doc = json.loads(path.read_text())
+        assert "normalizer" not in doc
+        # the file holds the final prediction row only, and no per-class counts
+        assert "per_class_correct" not in doc
+        assert len(result.per_task_predictions) == result.matrix.n_tasks > 1
+        final = [list(p) for p in result.per_task_predictions[-1]]
+        assert doc["per_task_predictions"] == [final]
+        assert back.per_task_predictions == [result.per_task_predictions[-1]]
+        assert back.per_class_correct() == result.per_class_correct()
         assert back.ensemble.fusion.to_dict() == result.ensemble.fusion.to_dict()
         assert back.matrix.to_list() == result.matrix.to_list()
-        assert back.per_task_predictions == result.per_task_predictions
         assert back.metrics().to_dict() == result.metrics().to_dict()
         for label, mix in result.ensemble.models.items():
             assert back.ensemble.models[label].to_bytes() == mix.to_bytes()
+
+    def test_per_class_correct_counts_final_row(self):
+        manifest, tables = synthetic_setup(n_basic=3, n_compound=2, spread=3.0)
+        result = run_continual(manifest, tables, seed=2, compute_joint_reference=False)
+        counts = result.per_class_correct()
+        final = result.per_task_predictions[-1]
+        assert list(counts) == list(dict.fromkeys(t for _, t, _ in final))
+        for label, n_correct in counts.items():
+            assert n_correct == sum(1 for _, t, p in final if t == label and p == t)
+        assert 0 < sum(counts.values()) < len(final)  # some right, some wrong
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
