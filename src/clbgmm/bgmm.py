@@ -10,9 +10,10 @@ Point estimates (posterior means) populate the returned FittedMixture;
 scoring is a plain mixture density over those plug-in parameters.
 
 The iteration computes each term once (prior-only terms once per fit, the
-terms the E-step shares with the KL term once per iteration) but keeps every
-floating-point operation's operands and order, so a fit is bit-for-bit that
-of the per-term formulas.
+terms the E-step shares with the KL term once per iteration). Diagonal and
+spherical fits keep the per-term formulas' operands and order, bit for bit;
+a full-covariance iteration factors each inverse scale matrix once and
+derives the rest from that factor (Bishop, PRML section 10.2).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.special import digamma, gammaln
 
 from .errors import NumericalError, ValidationError
@@ -160,11 +161,13 @@ class VariationalState:
 
     shape/rate hold the Gamma precision posteriors (spherical: rate (J,);
     diagonal: rate (J, D)); dof/scale hold the Wishart posterior for the
-    full structure. The E-step also leaves the terms it shares with the KL
-    term: elog_pi = E[log pi] (J,); digamma_shape and log_rate, shaped as
-    shape and rate (spherical/diagonal); logdet_w/elog_det (J,), the
-    log-determinant of scale and E[log det precision] (full). Unused
-    fields stay None.
+    full structure and w_inv the inverse scale the M-step builds. The E-step
+    also leaves the terms it shares with the KL term: elog_pi = E[log pi]
+    (J,); digamma_shape and log_rate, shaped as shape and rate; for full,
+    from one factor C = chol(w_inv): scale = C^-T C^-1, logdet_w =
+    -2 sum(log diag C) = log det scale and elog_det = E[log det precision]
+    (J,), and wishart_arg = (dof + 1 - i) / 2 (J, D) for digamma and gammaln.
+    Unused fields stay None.
     """
 
     covariance_type: str
@@ -176,6 +179,8 @@ class VariationalState:
     rate: np.ndarray | None = None
     dof: np.ndarray | None = None
     scale: np.ndarray | None = None
+    w_inv: np.ndarray | None = None
+    wishart_arg: np.ndarray | None = None
     logdet_w: np.ndarray | None = None
     elog_det: np.ndarray | None = None
     elog_pi: np.ndarray | None = None
@@ -191,32 +196,35 @@ class VariationalState:
 # numerical kernels
 # ---------------------------------------------------------------------------
 
-def _factor(mats: np.ndarray, what: str, invert: bool = False):
-    """Lower Cholesky factors of a (J, D, D) stack of SPD matrices, and
-    their inverses if invert (else None).
+def _factor(mats: np.ndarray, what: str):
+    """Lower Cholesky factors C of a (J, D, D) stack of SPD matrices, and
+    their inverses C^-1 (lower triangular too).
 
-    Each component goes through LAPACK potrf/potrs exactly as in
-    scipy.linalg.cholesky/cho_solve, so the results are bit-identical to
-    theirs without their per-call checks; the finite check runs once on
-    the whole stack. (np.linalg.cholesky differs from potrf in the low
-    bits.) The factors keep LAPACK's Fortran order in each slice, so the
-    products taken with them run the same BLAS path as on potrf's output.
+    Each component makes two LAPACK calls: potrf, as in
+    scipy.linalg.cholesky, so C is bit-identical to its factor without its
+    per-call checks, and trtri, which inverts the triangle. The finite
+    check runs once on the whole stack.
     """
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(f"{what} of component {int(np.argmin(finite))} is not finite")
-    j, d, _ = mats.shape
-    low = np.empty_like(mats).transpose(0, 2, 1)
-    inv = np.empty_like(mats) if invert else None
-    eye = np.eye(d)
-    for k in range(j):
+    low = np.empty_like(mats)
+    low_inv = np.empty_like(mats)
+    for k in range(mats.shape[0]):
         c, info = dpotrf(mats[k], lower=1)
         if info:
             raise NumericalError(f"{what} of component {k} is not positive definite")
         low[k] = c
-        if invert:
-            inv[k] = dpotrs(c, eye, lower=1)[0]
-    return low, inv
+        low_inv[k] = dtrtri(c, lower=1)[0]
+    return low, low_inv
+
+
+def _centred_quad(X: np.ndarray, means: np.ndarray, low_inv: np.ndarray) -> np.ndarray:
+    """(N, J), C-ordered, squared norms |C_j^-1 (x - m_j)|^2, i.e. the
+    quadratic forms (x - m_j)^T (C_j C_j^T)^-1 (x - m_j), on rows centred on
+    each component mean so that a large offset cancels before the product."""
+    y = (X[None, :, :] - means[:, None, :]) @ low_inv.transpose(0, 2, 1)   # (J, N, D)
+    return np.ascontiguousarray((y ** 2).sum(axis=2).T)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -346,9 +354,7 @@ def _m_step(X: np.ndarray, x2: np.ndarray, resp: np.ndarray, pri: _Priors,
         xc = X[None, :, :] - xbar[:, None, :]                           # (J, N, D)
         scatter = (resp.T[:, :, None] * xc).transpose(0, 2, 1) @ xc
         w_inv = pri.w0_inv + scatter + shrink[:, None, None] * (dev[:, :, None] * dev[:, None, :])
-        w_inv = 0.5 * (w_inv + w_inv.transpose(0, 2, 1))
-        _, w = _factor(w_inv, "inverse scale matrix", invert=True)
-        state.scale = 0.5 * (w + w.transpose(0, 2, 1))
+        state.w_inv = 0.5 * (w_inv + w_inv.transpose(0, 2, 1))
 
 
 def _expected_log_density(X: np.ndarray, x2: np.ndarray,
@@ -374,14 +380,12 @@ def _expected_log_density(X: np.ndarray, x2: np.ndarray,
         log_dens = 0.5 * d * elog_lam - 0.5 * d * LOG_2PI \
             - 0.5 * (prec * sq + d / state.beta)
     else:
-        low, _ = _factor(state.scale, "scale matrix")
-        y = (X[None, :, :] - m[:, None, :]) @ low                       # (J, N, D)
-        # C order, as the per-component loop built it: the row reductions
-        # downstream then sum in the same order
-        quad = np.ascontiguousarray((y ** 2).sum(axis=2).T)             # (N, J)
-        state.logdet_w = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
-        state.elog_det = digamma(0.5 * (state.dof[:, None] + 1 - np.arange(1, d + 1))).sum(axis=1) \
-            + d * np.log(2.0) + state.logdet_w
+        low, low_inv = _factor(state.w_inv, "inverse scale matrix")
+        state.scale = low_inv.transpose(0, 2, 1) @ low_inv
+        state.logdet_w = -2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+        state.wishart_arg = 0.5 * (state.dof[:, None] + 1 - np.arange(1, d + 1))
+        state.elog_det = digamma(state.wishart_arg).sum(axis=1) + d * np.log(2.0) + state.logdet_w
+        quad = _centred_quad(X, m, low_inv)                             # (N, J)
         log_dens = 0.5 * state.elog_det - 0.5 * d * LOG_2PI \
             - 0.5 * (state.dof * quad + d / state.beta)
     return state.elog_pi[None, :] + log_dens
@@ -414,22 +418,17 @@ def _kl_terms(pri: _Priors, state: VariationalState) -> float:
                + pri.a0 * (state.log_rate - pri.log_b0)
                + a * (pri.b0 - b) / b).sum()
     else:
-        # logdet_w and elog_det come from the E-step on the same scale
+        # scale, logdet_w, wishart_arg and elog_det are left by the E-step
         nu, w = state.dof, state.scale
-        idx = np.arange(1, d + 1)
         quad = (((nu[:, None] * dev)[:, None, :] @ w) @ dev[:, :, None])[:, 0, 0]
         mean_kl = 0.5 * d * np.log(beta / pri.beta0) - 0.5 * d \
             + 0.5 * pri.beta0 * (quad + d / beta)
         log_b_q = -0.5 * nu * state.logdet_w - 0.5 * nu * d * np.log(2.0) \
             - 0.25 * d * (d - 1) * np.log(np.pi) \
-            - gammaln(0.5 * (nu[:, None] + 1 - idx)).sum(axis=1)
+            - gammaln(state.wishart_arg).sum(axis=1)
         wishart_kl = log_b_q - pri.log_b_p + 0.5 * (nu - pri.nu0) * state.elog_det \
             + 0.5 * nu * (np.trace(pri.w0_inv @ w, axis1=1, axis2=2) - d)
-        # one term at a time, in component order, so the float sum is the
-        # same as a per-component accumulation
-        for mean_term, wishart_term in zip(mean_kl.tolist(), wishart_kl.tolist()):
-            kl += mean_term
-            kl += wishart_term
+        kl += (mean_kl + wishart_kl).sum()
     return float(kl)
 
 
@@ -480,9 +479,8 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
     elif config.covariance_type == "spherical":
         cov = np.maximum(state.rate[keep] / state.shape[keep], floor)
     else:
-        _, sigma = _factor(state.dof[keep][:, None, None] * state.scale[keep],
-                           "posterior precision", invert=True)
-        sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+        # inverse of the posterior-mean precision dof * W
+        sigma = state.w_inv[keep] / state.dof[keep][:, None, None]
         cov = np.empty_like(sigma)
         for i in range(sigma.shape[0]):
             vals, vecs = eigh(sigma[i])
@@ -564,9 +562,8 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
         prec = 1.0 / var
         quad = (xc ** 2) @ prec.T - xc @ (2.0 * prec * mc).T + (prec * mc ** 2).sum(axis=1)
         return -0.5 * (d * LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad)
-    low, _ = _factor(mix.covariances, "covariance")
-    y = np.linalg.solve(low, (X[None, :, :] - m[:, None, :]).transpose(0, 2, 1))  # (J, D, N)
-    quad = np.ascontiguousarray((y ** 2).sum(axis=1).T)                           # (N, J)
+    low, low_inv = _factor(mix.covariances, "covariance")
+    quad = _centred_quad(X, m, low_inv)
     logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
     return -0.5 * (d * LOG_2PI + logdet[None, :] + quad)
 

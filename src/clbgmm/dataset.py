@@ -106,6 +106,9 @@ class ExperimentManifest:
             raise ValidationError(f"unsupported fusion strategy {self.fusion_strategy!r}")
         if not self.seeds:
             raise ValidationError("manifest needs at least one seed")
+        for seed in self.seeds:
+            if self.seeds.count(seed) > 1:
+                raise ValidationError(f"seed {seed} is listed more than once")
 
     def class_to_task(self) -> dict:
         return {label: i for i, task in enumerate(self.tasks) for label in task.class_labels}

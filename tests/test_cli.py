@@ -140,6 +140,18 @@ class TestRun:
         assert err.startswith("error: ") and "'mod_a'" in err
         assert not list(tmp_path.glob("res_*.json"))
 
+    def test_duplicate_seed_exits_2(self, synth_dir, tmp_path, capsys):
+        # a repeated seed would overwrite its own result file and enter the
+        # aggregate twice
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        manifest["seeds"] = [1, 1]
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(manifest))
+        assert main(["run", "--manifest", str(bad), "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed 1" in err
+        assert not list(tmp_path.glob("res_*.json"))
+
     def test_byte_identical_reruns(self, synth_dir, tmp_path):
         out1 = tmp_path / "r1" / "res"
         out2 = tmp_path / "r2" / "res"

@@ -53,6 +53,11 @@ class TestParseManifest:
         with pytest.raises(ValidationError, match="class appears in multiple tasks.*awed"):
             parse_manifest(json.dumps(doc))
 
+    def test_duplicate_seed_named(self):
+        doc = dict(MINIMAL, seeds=[1, 2, 1])
+        with pytest.raises(ValidationError, match="seed 1 is listed more than once"):
+            parse_manifest(json.dumps(doc))
+
     def test_cfee_task_grouping(self):
         doc = dict(MINIMAL)
         doc["tasks"] = CFEE_TASKS
