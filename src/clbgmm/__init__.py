@@ -5,8 +5,6 @@ from .bgmm import (
     BgmmConfig,
     FittedMixture,
     VariationalState,
-    effective_components,
-    elbo,
     fit,
     log_likelihood,
     log_likelihood_batch,

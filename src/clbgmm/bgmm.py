@@ -9,17 +9,22 @@ and prunes low-weight components once after convergence.
 Point estimates (posterior means) populate the returned FittedMixture;
 scoring is a plain mixture density over those plug-in parameters.
 
-The iteration computes each term once (prior-only terms once per fit, the
-terms the E-step shares with the KL term once per iteration). Diagonal and
-spherical fits keep the per-term formulas' operands and order, bit for bit;
-a full-covariance iteration factors each inverse scale matrix once and
-derives the rest from that factor (Bishop, PRML section 10.2).
+A spherical component is fitted as the diagonal one with a single Gamma
+precision shared by every dimension: its rate is stored as (J, 1) and
+broadcast over the D columns, so the two types share one M-step, E-step and
+KL formula. The iteration computes each term once (prior-only terms once per
+fit, the terms the E-step shares with the KL term once per iteration).
+Diagonal fits keep the per-term formulas' operands and order, bit for bit.
+Spherical fits sum over the D columns, so they match formulas written for
+one scalar precision to rounding only. A full-covariance iteration factors
+each inverse scale matrix once and derives the rest from that factor
+(Bishop, PRML section 10.2).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import eigh
@@ -74,19 +79,7 @@ class BgmmConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "max_components": self.max_components,
-            "covariance_type": self.covariance_type,
-            "weight_concentration_prior": self.weight_concentration_prior,
-            "mean_prior_strength": self.mean_prior_strength,
-            "precision_prior_shape": self.precision_prior_shape,
-            "precision_prior_rate": self.precision_prior_rate,
-            "variance_floor": self.variance_floor,
-            "max_iterations": self.max_iterations,
-            "elbo_tolerance": self.elbo_tolerance,
-            "prune_threshold": self.prune_threshold,
-            "n_restarts": self.n_restarts,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BgmmConfig":
@@ -159,14 +152,15 @@ class FittedMixture:
 class VariationalState:
     """Posterior parameters and responsibilities of one fit.
 
-    shape/rate hold the Gamma precision posteriors (spherical: rate (J,);
-    diagonal: rate (J, D)); dof/scale hold the Wishart posterior for the
-    full structure and w_inv the inverse scale the M-step builds. The E-step
-    also leaves the terms it shares with the KL term: elog_pi = E[log pi]
-    (J,); digamma_shape and log_rate, shaped as shape and rate; for full,
-    from one factor C = chol(w_inv): scale = C^-T C^-1, logdet_w =
-    -2 sum(log diag C) = log det scale and elog_det = E[log det precision]
-    (J,), and wishart_arg = (dof + 1 - i) / 2 (J, D) for digamma and gammaln.
+    shape (J,) and rate hold the Gamma precision posteriors (rate (J, 1)
+    spherical, one precision per component; (J, D) diagonal); dof/scale
+    hold the Wishart posterior for the full structure and w_inv the inverse
+    scale the M-step builds. The E-step also leaves the terms it shares
+    with the KL term: elog_pi = E[log pi] (J,); digamma_shape and log_rate,
+    shaped as shape and rate; for full, from one factor C = chol(w_inv):
+    scale = C^-T C^-1, logdet_w = -2 sum(log diag C) = log det scale and
+    elog_det = E[log det precision] (J,), and wishart_arg =
+    (dof + 1 - i) / 2 (J, D) for digamma and gammaln.
     Unused fields stay None.
     """
 
@@ -260,11 +254,11 @@ class _Priors:
     beta0: float
     m0: np.ndarray
     a0: float                    # Gamma shape (spherical/diagonal)
-    b0: np.ndarray | float       # Gamma rate: scalar (spherical) or (D,) (diagonal)
+    b0: np.ndarray               # Gamma rate: (1,) spherical, (D,) diagonal
     gammaln_j_alpha0: float      # gammaln(J * alpha0)
     j_gammaln_alpha0: float      # J * gammaln(alpha0)
     gammaln_a0: float
-    log_b0: np.ndarray | float
+    log_b0: np.ndarray
     nu0: float | None = None     # Wishart dof (full)
     w0_inv: np.ndarray | None = None
     w0_logdet: float | None = None
@@ -284,7 +278,7 @@ def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
     else:
         rate = emp_var
     j = config.max_components
-    b0 = float(rate.mean()) if config.covariance_type == "spherical" else rate
+    b0 = rate.mean(keepdims=True) if config.covariance_type == "spherical" else rate
     pri = _Priors(alpha0=alpha0, beta0=config.mean_prior_strength, m0=m0, a0=a0, b0=b0,
                   gammaln_j_alpha0=gammaln(j * alpha0), j_gammaln_alpha0=j * gammaln(alpha0),
                   gammaln_a0=gammaln(a0), log_b0=np.log(b0))
@@ -339,16 +333,16 @@ def _m_step(X: np.ndarray, x2: np.ndarray, resp: np.ndarray, pri: _Priors,
     shrink = (pri.beta0 * nk / state.beta)  # (J,)
     dev = xbar - pri.m0[None, :]
 
-    if state.covariance_type in ("spherical", "diagonal"):
-        # per-dim scatter around the weighted mean
+    if state.covariance_type != "full":
+        # per-dim scatter around the weighted mean; one sum over the
+        # dimensions for the single spherical precision
         sq = resp.T @ x2 - nk[:, None] * xbar ** 2  # (J, D)
         sq = np.maximum(sq, 0.0)
-        if state.covariance_type == "diagonal":
-            state.shape = pri.a0 + 0.5 * nk
-            state.rate = pri.b0[None, :] + 0.5 * (sq + shrink[:, None] * dev ** 2)
-        else:
-            state.shape = pri.a0 + 0.5 * nk * d
-            state.rate = pri.b0 + 0.5 * (sq.sum(axis=1) + shrink * (dev ** 2).sum(axis=1))
+        scatter = sq + shrink[:, None] * dev ** 2
+        if state.covariance_type == "spherical":
+            scatter = scatter.sum(axis=1, keepdims=True)               # (J, 1)
+        state.shape = pri.a0 + 0.5 * nk * (d / scatter.shape[1])
+        state.rate = pri.b0[None, :] + 0.5 * scatter
     else:
         state.dof = pri.nu0 + nk
         xc = X[None, :, :] - xbar[:, None, :]                           # (J, N, D)
@@ -367,18 +361,13 @@ def _expected_log_density(X: np.ndarray, x2: np.ndarray,
     if state.covariance_type != "full":
         state.digamma_shape = digamma(state.shape)
         state.log_rate = np.log(state.rate)
-    if state.covariance_type == "diagonal":
-        elog_lam = state.digamma_shape[:, None] - state.log_rate       # (J, D)
-        prec = state.shape[:, None] / state.rate                       # (J, D)
+        # out= broadcasts a spherical rate (J, 1) over the D columns
+        elog_lam = np.subtract(state.digamma_shape[:, None], state.log_rate,
+                               out=np.empty_like(m))                      # (J, D)
+        prec = np.divide(state.shape[:, None], state.rate, out=np.empty_like(m))
         quad = x2 @ prec.T - 2.0 * X @ (prec * m).T + (prec * m ** 2).sum(axis=1)
         log_dens = 0.5 * elog_lam.sum(axis=1) - 0.5 * d * LOG_2PI \
             - 0.5 * (quad + d / state.beta)
-    elif state.covariance_type == "spherical":
-        elog_lam = state.digamma_shape - state.log_rate                # (J,)
-        prec = state.shape / state.rate
-        sq = ((X[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)        # (N, J)
-        log_dens = 0.5 * d * elog_lam - 0.5 * d * LOG_2PI \
-            - 0.5 * (prec * sq + d / state.beta)
     else:
         low, low_inv = _factor(state.w_inv, "inverse scale matrix")
         state.scale = low_inv.transpose(0, 2, 1) @ low_inv
@@ -402,7 +391,8 @@ def _kl_terms(pri: _Priors, state: VariationalState) -> float:
         + ((alpha - pri.alpha0) * state.elog_pi).sum()
 
     dev = m - pri.m0[None, :]
-    if state.covariance_type == "diagonal":
+    if state.covariance_type != "full":
+        # summed over a spherical rate (J, 1), this is one Gamma per component
         a, b = state.shape, state.rate
         kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
                + 0.5 * pri.beta0 * ((a[:, None] / b * dev ** 2).sum(axis=1) + d / beta)).sum()
@@ -410,13 +400,6 @@ def _kl_terms(pri: _Priors, state: VariationalState) -> float:
                - gammaln(a)[:, None] + pri.gammaln_a0
                + pri.a0 * (state.log_rate - pri.log_b0[None, :])
                + a[:, None] * (pri.b0[None, :] - b) / b).sum()
-    elif state.covariance_type == "spherical":
-        a, b = state.shape, state.rate
-        kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
-               + 0.5 * pri.beta0 * (a / b * (dev ** 2).sum(axis=1) + d / beta)).sum()
-        kl += ((a - pri.a0) * state.digamma_shape - gammaln(a) + pri.gammaln_a0
-               + pri.a0 * (state.log_rate - pri.log_b0)
-               + a * (pri.b0 - b) / b).sum()
     else:
         # scale, logdet_w, wishart_arg and elog_det are left by the E-step
         nu, w = state.dof, state.scale
@@ -474,10 +457,10 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
     means = state.means[keep]
     floor = config.variance_floor
 
-    if config.covariance_type == "diagonal":
+    if config.covariance_type != "full":
         cov = np.maximum(state.rate[keep] / state.shape[keep][:, None], floor)
-    elif config.covariance_type == "spherical":
-        cov = np.maximum(state.rate[keep] / state.shape[keep], floor)
+        if config.covariance_type == "spherical":
+            cov = cov[:, 0]
     else:
         # inverse of the posterior-mean precision dof * W
         sigma = state.w_inv[keep] / state.dof[keep][:, None, None]
@@ -581,13 +564,3 @@ def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
 def log_likelihood(mix: FittedMixture, x) -> float:
     """Mixture log density at a single point."""
     return float(log_likelihood_batch(mix, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
-def elbo(state: VariationalState) -> float:
-    """Current evidence lower bound (last entry of the trace)."""
-    return state.elbo_trace[-1]
-
-
-def effective_components(state: VariationalState, threshold: float) -> int:
-    """Number of components whose expected mixing weight reaches threshold."""
-    return int(np.sum(state.expected_weights() >= threshold))

@@ -282,5 +282,5 @@ def load_run_result(path) -> RunResult:
         return RunResult.from_dict(doc)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed results file {path}: missing {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed results file {path}: {exc}") from exc

@@ -10,8 +10,6 @@ from clbgmm import bgmm
 from clbgmm.bgmm import (
     BgmmConfig,
     FittedMixture,
-    effective_components,
-    elbo,
     fit,
     log_likelihood,
     log_likelihood_batch,
@@ -135,10 +133,6 @@ class TestElbo:
             trace = np.asarray(state.elbo_trace)
             assert np.all(np.diff(trace) >= -1e-8)
 
-    def test_elbo_equals_last_trace_entry(self):
-        _, state = fit(two_cluster_data(seed=9), BgmmConfig(max_components=4), seed=0)
-        assert elbo(state) == state.elbo_trace[-1]
-
     def test_final_at_least_first(self):
         _, state = fit(two_cluster_data(seed=10), BgmmConfig(max_components=4), seed=0)
         assert state.elbo_trace[-1] >= state.elbo_trace[0] - 1e-8
@@ -147,16 +141,12 @@ class TestElbo:
 class TestEffectiveComponents:
     def test_one_cluster(self):
         rng = np.random.default_rng(0)
-        _, state = fit(rng.normal(0, 1, (120, 2)), BgmmConfig(max_components=5), seed=1)
-        assert effective_components(state, 0.01) == 1
+        mix, _ = fit(rng.normal(0, 1, (120, 2)), BgmmConfig(max_components=5), seed=1)
+        assert mix.n_components == 1
 
     def test_two_clusters(self):
-        _, state = fit(two_cluster_data(seed=11), BgmmConfig(max_components=8), seed=1)
-        assert effective_components(state, 0.01) == 2
-
-    def test_zero_threshold_counts_everything(self):
-        _, state = fit(two_cluster_data(seed=12), BgmmConfig(max_components=8), seed=1)
-        assert effective_components(state, 0.0) == 8
+        mix, _ = fit(two_cluster_data(seed=11), BgmmConfig(max_components=8), seed=1)
+        assert mix.n_components == 2
 
 
 class TestLogLikelihood:
@@ -495,8 +485,9 @@ class TestSingleFactorAlgebra:
 # The diagonal/spherical per-class iteration as it was before each term was
 # computed once per fit or iteration (X ** 2 every iteration, digamma and
 # log(rate) recomputed in the KL term, prior-only terms every iteration,
-# scipy's logsumexp): the reference the trimmed iteration must reproduce bit
-# for bit.
+# scipy's logsumexp) and before spherical fits ran through the diagonal
+# formulas: the reference the trimmed iteration must reproduce, bit for bit
+# for diagonal fits and to rounding for spherical ones.
 
 def _ref_m_step(X, resp, pri, state):
     d = X.shape[1]
@@ -613,9 +604,20 @@ class TestTrimmedIteration:
             assert len(ref.elbo_trace) == max_iterations
         else:
             assert 3 <= len(ref.elbo_trace) < max_iterations
-        assert np.array_equal(got.elbo_trace, ref.elbo_trace)
-        for name in ("alpha", "means", "shape", "rate", "responsibilities"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        names = ("alpha", "means", "shape", "rate", "responsibilities")
+        if ct == "diagonal":
+            assert np.array_equal(got.elbo_trace, ref.elbo_trace)
+            for name in names:
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            return
+        # spherical: one shared precision, stored as a (J, 1) rate, summed in
+        # another order than the spherical-only formulas of the reference
+        assert len(got.elbo_trace) == len(ref.elbo_trace)
+        np.testing.assert_allclose(got.elbo_trace, ref.elbo_trace, rtol=1e-12, atol=0)
+        for name in names:
+            want = getattr(ref, name)
+            np.testing.assert_allclose(getattr(got, name).reshape(want.shape), want,
+                                       rtol=1e-12, atol=0, err_msg=name)
 
 
 def _broadcast_component_log_density(mix, X):

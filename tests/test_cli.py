@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import clbgmm
 from clbgmm.cli import main
 from clbgmm.dataset import load_feature_table, parse_manifest
 from clbgmm.protocol import load_run_result, run_continual, save_run_result
@@ -162,6 +166,27 @@ class TestRun:
         assert read(f"{out1}_seed1.json") == read(f"{out2}_seed1.json")
         assert read(f"{out1}_aggregate.json") == read(f"{out2}_aggregate.json")
 
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_result_files_independent_of_blas_threads(self, tmp_path, ct):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--basic", "3", "--compound", "2",
+                     "--dim-a", "32", "--dim-b", "32", "--per-class-train", "60",
+                     "--per-class-test", "10", "--seed", "1"]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["bgmm"] = {"covariance_type": ct}
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        src = str(Path(clbgmm.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"threads{threads}" / "res"
+            subprocess.run([sys.executable, "-m", "clbgmm.cli", "run", "--manifest",
+                            str(data / "manifest.json"), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outputs.append([read(f"{out}_seed1.json"), read(f"{out}_aggregate.json")])
+        assert outputs[0] == outputs[1]
+
 
 @pytest.fixture
 def results_file(synth_dir):
@@ -224,6 +249,19 @@ class TestMetrics:
                            lambda doc: doc["accuracy_matrix"][0].__setitem__(0, "high"))
         assert main(["metrics", "--results", bad]) == 2
         assert f"malformed results file {bad}" in capsys.readouterr().err
+
+    def test_accuracy_out_of_range_exits_2(self, results_file, tmp_path, capsys):
+        bad = self.rewrite(results_file, tmp_path,
+                           lambda doc: doc["accuracy_matrix"][0].__setitem__(0, 1.5))
+        assert main(["metrics", "--results", bad]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed results file {bad}" in err and "[0, 1]" in err
+
+    def test_truncated_task_names_exit_2(self, results_file, tmp_path, capsys):
+        bad = self.rewrite(results_file, tmp_path, lambda doc: doc["task_names"].pop())
+        assert main(["metrics", "--results", bad]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed results file {bad}" in err and "one matrix row per task" in err
 
 
 class TestOracle:
