@@ -11,14 +11,14 @@ scoring is a plain mixture density over those plug-in parameters.
 
 A spherical component is fitted as the diagonal one with a single Gamma
 precision shared by every dimension: its rate is stored as (J, 1) and
-broadcast over the D columns, so the two types share one M-step, E-step and
-KL formula. The iteration computes each term once (prior-only terms once per
-fit, the terms the E-step shares with the KL term once per iteration).
-Diagonal fits keep the per-term formulas' operands and order, bit for bit.
-Spherical fits sum over the D columns, so they match formulas written for
-one scalar precision to rounding only. A full-covariance iteration factors
-each inverse scale matrix once and derives the rest from that factor
-(Bishop, PRML section 10.2).
+broadcast over the D columns, so the two types share one M-step and one
+E-step. The E-step yields both the expected log densities and the KL term of
+the bound, so each expectation the two share is computed once per iteration;
+prior-only terms are computed once per fit. Diagonal fits keep the per-term
+formulas' operands and order, bit for bit. Spherical fits sum over the D
+columns, so they match formulas written for one scalar precision to rounding
+only. A full-covariance iteration factors each inverse scale matrix once and
+derives the rest from that factor (Bishop, PRML section 10.2).
 """
 
 from __future__ import annotations
@@ -150,18 +150,13 @@ class FittedMixture:
 
 @dataclass
 class VariationalState:
-    """Posterior parameters and responsibilities of one fit.
+    """Posterior parameters and responsibilities of one fit, and its ELBO trace.
 
-    shape (J,) and rate hold the Gamma precision posteriors (rate (J, 1)
-    spherical, one precision per component; (J, D) diagonal); dof/scale
-    hold the Wishart posterior for the full structure and w_inv the inverse
-    scale the M-step builds. The E-step also leaves the terms it shares
-    with the KL term: elog_pi = E[log pi] (J,); digamma_shape and log_rate,
-    shaped as shape and rate; for full, from one factor C = chol(w_inv):
-    scale = C^-T C^-1, logdet_w = -2 sum(log diag C) = log det scale and
-    elog_det = E[log det precision] (J,), and wishart_arg =
-    (dof + 1 - i) / 2 (J, D) for digamma and gammaln.
-    Unused fields stay None.
+    alpha (J,) is the Dirichlet posterior, beta (J,) and means (J, D) the
+    Gaussian one. shape (J,) and rate hold the Gamma precision posteriors
+    (rate (J, 1) spherical, one precision per component; (J, D) diagonal);
+    dof (J,) and w_inv (J, D, D), the inverse scale matrix, the Wishart
+    posterior of the full structure. Unused fields stay None.
     """
 
     covariance_type: str
@@ -172,14 +167,7 @@ class VariationalState:
     shape: np.ndarray | None = None
     rate: np.ndarray | None = None
     dof: np.ndarray | None = None
-    scale: np.ndarray | None = None
     w_inv: np.ndarray | None = None
-    wishart_arg: np.ndarray | None = None
-    logdet_w: np.ndarray | None = None
-    elog_det: np.ndarray | None = None
-    elog_pi: np.ndarray | None = None
-    digamma_shape: np.ndarray | None = None
-    log_rate: np.ndarray | None = None
     elbo_trace: list = field(default_factory=list)
 
     def expected_weights(self) -> np.ndarray:
@@ -351,68 +339,61 @@ def _m_step(X: np.ndarray, x2: np.ndarray, resp: np.ndarray, pri: _Priors,
         state.w_inv = 0.5 * (w_inv + w_inv.transpose(0, 2, 1))
 
 
-def _expected_log_density(X: np.ndarray, x2: np.ndarray,
-                          state: VariationalState) -> np.ndarray:
-    """Per-sample, per-component expected Gaussian log density + E[log pi];
-    x2 is X ** 2."""
-    d = X.shape[1]
-    state.elog_pi = digamma(state.alpha) - digamma(state.alpha.sum())
-    m = state.means
-    if state.covariance_type != "full":
-        state.digamma_shape = digamma(state.shape)
-        state.log_rate = np.log(state.rate)
-        # out= broadcasts a spherical rate (J, 1) over the D columns
-        elog_lam = np.subtract(state.digamma_shape[:, None], state.log_rate,
-                               out=np.empty_like(m))                      # (J, D)
-        prec = np.divide(state.shape[:, None], state.rate, out=np.empty_like(m))
-        quad = x2 @ prec.T - 2.0 * X @ (prec * m).T + (prec * m ** 2).sum(axis=1)
-        log_dens = 0.5 * elog_lam.sum(axis=1) - 0.5 * d * LOG_2PI \
-            - 0.5 * (quad + d / state.beta)
-    else:
-        low, low_inv = _factor(state.w_inv, "inverse scale matrix")
-        state.scale = low_inv.transpose(0, 2, 1) @ low_inv
-        state.logdet_w = -2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
-        state.wishart_arg = 0.5 * (state.dof[:, None] + 1 - np.arange(1, d + 1))
-        state.elog_det = digamma(state.wishart_arg).sum(axis=1) + d * np.log(2.0) + state.logdet_w
-        quad = _centred_quad(X, m, low_inv)                             # (N, J)
-        log_dens = 0.5 * state.elog_det - 0.5 * d * LOG_2PI \
-            - 0.5 * (state.dof * quad + d / state.beta)
-    return state.elog_pi[None, :] + log_dens
+def _diag_quad(X: np.ndarray, x2: np.ndarray, prec: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """(N, J) quadratic forms sum_d prec_jd (x_d - m_jd)^2 in GEMM form; x2 is X ** 2."""
+    return x2 @ prec.T - X @ (2.0 * prec * means).T + (prec * means ** 2).sum(axis=1)
 
 
-def _kl_terms(pri: _Priors, state: VariationalState) -> float:
-    """KL(q || prior) for the weight and mean/precision posteriors; reads
-    the terms the E-step left on the state."""
+def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
+            state: VariationalState) -> tuple[np.ndarray, float]:
+    """Per-sample, per-component expected Gaussian log density + E[log pi]
+    (x2 is X ** 2), and KL(q || prior) for the weight and mean/precision
+    posteriors. Each expectation the two share is computed once."""
     alpha, beta, m = state.alpha, state.beta, state.means
     d = m.shape[1]
-
+    elog_pi = digamma(alpha) - digamma(alpha.sum())
     kl = gammaln(alpha.sum()) - pri.gammaln_j_alpha0 \
         + pri.j_gammaln_alpha0 - gammaln(alpha).sum() \
-        + ((alpha - pri.alpha0) * state.elog_pi).sum()
+        + ((alpha - pri.alpha0) * elog_pi).sum()
 
     dev = m - pri.m0[None, :]
     if state.covariance_type != "full":
-        # summed over a spherical rate (J, 1), this is one Gamma per component
         a, b = state.shape, state.rate
+        digamma_a = digamma(a)
+        log_b = np.log(b)
+        # out= broadcasts a spherical rate (J, 1) over the D columns
+        elog_lam = np.subtract(digamma_a[:, None], log_b, out=np.empty_like(m))   # (J, D)
+        prec = np.divide(a[:, None], b, out=np.empty_like(m))
+        log_dens = 0.5 * elog_lam.sum(axis=1) - 0.5 * d * LOG_2PI \
+            - 0.5 * (_diag_quad(X, x2, prec, m) + d / beta)
+        # summed over a spherical rate (J, 1), this is one Gamma per component
         kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
-               + 0.5 * pri.beta0 * ((a[:, None] / b * dev ** 2).sum(axis=1) + d / beta)).sum()
-        kl += ((a[:, None] - pri.a0) * state.digamma_shape[:, None]
+               + 0.5 * pri.beta0 * ((prec * dev ** 2).sum(axis=1) + d / beta)).sum()
+        kl += ((a[:, None] - pri.a0) * digamma_a[:, None]
                - gammaln(a)[:, None] + pri.gammaln_a0
-               + pri.a0 * (state.log_rate - pri.log_b0[None, :])
+               + pri.a0 * (log_b - pri.log_b0[None, :])
                + a[:, None] * (pri.b0[None, :] - b) / b).sum()
     else:
-        # scale, logdet_w, wishart_arg and elog_det are left by the E-step
-        nu, w = state.dof, state.scale
+        # from one factor C = chol(w_inv): scale W = C^-T C^-1, log det W
+        # = -2 sum(log diag C), and E[log det precision]
+        nu = state.dof
+        low, low_inv = _factor(state.w_inv, "inverse scale matrix")
+        w = low_inv.transpose(0, 2, 1) @ low_inv
+        logdet_w = -2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+        wishart_arg = 0.5 * (nu[:, None] + 1 - np.arange(1, d + 1))          # (J, D)
+        elog_det = digamma(wishart_arg).sum(axis=1) + d * np.log(2.0) + logdet_w
+        log_dens = 0.5 * elog_det - 0.5 * d * LOG_2PI \
+            - 0.5 * (nu * _centred_quad(X, m, low_inv) + d / beta)
         quad = (((nu[:, None] * dev)[:, None, :] @ w) @ dev[:, :, None])[:, 0, 0]
         mean_kl = 0.5 * d * np.log(beta / pri.beta0) - 0.5 * d \
             + 0.5 * pri.beta0 * (quad + d / beta)
-        log_b_q = -0.5 * nu * state.logdet_w - 0.5 * nu * d * np.log(2.0) \
+        log_b_q = -0.5 * nu * logdet_w - 0.5 * nu * d * np.log(2.0) \
             - 0.25 * d * (d - 1) * np.log(np.pi) \
-            - gammaln(state.wishart_arg).sum(axis=1)
-        wishart_kl = log_b_q - pri.log_b_p + 0.5 * (nu - pri.nu0) * state.elog_det \
+            - gammaln(wishart_arg).sum(axis=1)
+        wishart_kl = log_b_q - pri.log_b_p + 0.5 * (nu - pri.nu0) * elog_det \
             + 0.5 * nu * (np.trace(pri.w0_inv @ w, axis1=1, axis2=2) - d)
         kl += (mean_kl + wishart_kl).sum()
-    return float(kl)
+    return elog_pi[None, :] + log_dens, float(kl)
 
 
 def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
@@ -428,10 +409,10 @@ def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
     prev = -np.inf
     for _ in range(config.max_iterations):
         _m_step(X, x2, state.responsibilities, pri, state)
-        log_dens = _expected_log_density(X, x2, state)
+        log_dens, kl = _e_step(X, x2, pri, state)
         log_norm = _logsumexp(log_dens)
         state.responsibilities = np.exp(log_dens - log_norm[:, None])
-        value = float(log_norm.sum()) - _kl_terms(pri, state)
+        value = float(log_norm.sum()) - kl
         if not np.isfinite(value):
             raise NumericalError(
                 f"evidence lower bound is not finite at iteration {len(state.elbo_trace) + 1}")
@@ -527,11 +508,10 @@ def fit(data, config: BgmmConfig, seed: int):
 def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
     """(N, J) Gaussian log densities under the plug-in parameters.
 
-    Diagonal and spherical: the quadratic form in GEMM form,
-    xc**2 @ P.T - 2 xc @ (P*mc).T + sum(P*mc**2) with precisions P, on data
-    and means centred on the mixture's weighted mean. Without the centring
-    the expansion cancels catastrophically when |x| and |m| are large next
-    to the spread (un-normalized features with a large offset).
+    Diagonal and spherical: _diag_quad with precisions 1/var, on data and
+    means centred on the mixture's weighted mean. Without the centring the
+    expansion cancels catastrophically when |x| and |m| are large next to
+    the spread (un-normalized features with a large offset).
     """
     d = mix.dim
     m = mix.means
@@ -541,9 +521,7 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
             var = np.repeat(var[:, None], d, axis=1)
         ref = mix.weights @ m
         xc = X - ref
-        mc = m - ref
-        prec = 1.0 / var
-        quad = (xc ** 2) @ prec.T - xc @ (2.0 * prec * mc).T + (prec * mc ** 2).sum(axis=1)
+        quad = _diag_quad(xc, xc ** 2, 1.0 / var, m - ref)
         return -0.5 * (d * LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad)
     low, low_inv = _factor(mix.covariances, "covariance")
     quad = _centred_quad(X, m, low_inv)

@@ -90,10 +90,11 @@ class ExperimentManifest:
     def __post_init__(self):
         if not self.tasks or not self.modalities:
             raise ValidationError("manifest needs at least one task and one modality")
-        names = [spec.name for spec in self.modalities]
-        for name in names:
-            if names.count(name) > 1:
-                raise ValidationError(f"modality name {name!r} is declared more than once")
+        for kind, specs in (("task", self.tasks), ("modality", self.modalities)):
+            names = [spec.name for spec in specs]
+            for name in names:
+                if names.count(name) > 1:
+                    raise ValidationError(f"{kind} name {name!r} is declared more than once")
         owner: dict[str, str] = {}
         for task in self.tasks:
             for label in task.class_labels:
@@ -209,10 +210,13 @@ def parse_manifest(text: str) -> ExperimentManifest:
         for key in ("name", "path", "dim"):
             if key not in entry:
                 raise ValidationError(f"modality {i}: missing required field {key!r}")
+        dim = _as_int(entry["dim"], f"modalities[{i}].dim")
+        if dim < 1:
+            raise ValidationError(f"manifest field 'modalities[{i}].dim' must be >= 1, got {dim}")
         modalities.append(ModalitySpec(
             name=str(entry["name"]),
             path=str(entry["path"]),
-            dim=_as_int(entry["dim"], f"modalities[{i}].dim"),
+            dim=dim,
             normalize=_expect(entry.get("normalize", False), bool, f"modalities[{i}].normalize", "true or false"),
         ))
 

@@ -280,7 +280,9 @@ def load_run_result(path) -> RunResult:
         raise ValidationError(f"malformed results file {path}: {exc.msg}") from exc
     try:
         return RunResult.from_dict(doc)
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"malformed results file {path}: missing {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"malformed results file {path}: wrong type: {exc}") from exc
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed results file {path}: {exc}") from exc

@@ -261,19 +261,20 @@ def _loop_m_step(X, resp, pri, state):
     dev = xbar - pri.m0[None, :]
     j = resp.shape[1]
     state.dof = pri.nu0 + nk
+    state.w_inv = np.empty((j, d, d))
     scale = np.empty((j, d, d))
     for k in range(j):
         xc = X - xbar[k]
         scatter = (resp[:, k][:, None] * xc).T @ xc
         w_inv = pri.w0_inv + scatter + shrink[k] * np.outer(dev[k], dev[k])
-        w_inv = 0.5 * (w_inv + w_inv.T)
-        low = cholesky(w_inv, lower=True)
+        state.w_inv[k] = 0.5 * (w_inv + w_inv.T)
+        low = cholesky(state.w_inv[k], lower=True)
         w = cho_solve((low, True), np.eye(d))
         scale[k] = 0.5 * (w + w.T)
-    state.scale = scale
+    return scale
 
 
-def _loop_expected_log_density(X, state):
+def _loop_expected_log_density(X, state, scale):
     n, d = X.shape
     elog_pi = digamma(state.alpha) - digamma(state.alpha.sum())
     m = state.means
@@ -281,7 +282,7 @@ def _loop_expected_log_density(X, state):
     quad_ = np.empty((n, j))
     elog_det = np.empty(j)
     for k in range(j):
-        low = cholesky(state.scale[k], lower=True)
+        low = cholesky(scale[k], lower=True)
         y = (X - m[k]) @ low
         quad_[:, k] = (y ** 2).sum(axis=1)
         logdet_w = 2.0 * np.sum(np.log(np.diag(low)))
@@ -292,14 +293,14 @@ def _loop_expected_log_density(X, state):
     return elog_pi[None, :] + log_dens
 
 
-def _loop_kl_terms(pri, state):
+def _loop_kl_terms(pri, state, scale):
     alpha, beta, m = state.alpha, state.beta, state.means
     j, d = m.shape
     kl = gammaln(alpha.sum()) - gammaln(j * pri.alpha0) \
         + j * gammaln(pri.alpha0) - np.sum(gammaln(alpha)) \
         + np.sum((alpha - pri.alpha0) * (digamma(alpha) - digamma(alpha.sum())))
     dev = m - pri.m0[None, :]
-    nu, w = state.dof, state.scale
+    nu, w = state.dof, scale
     idx = np.arange(1, d + 1)
     for k in range(j):
         low = cholesky(w[k], lower=True)
@@ -320,6 +321,7 @@ def _loop_kl_terms(pri, state):
 
 
 def _loop_fit_full(X, config, seed):
+    """The fitted state and its scale matrices W = inv(w_inv)."""
     pri = bgmm._resolve_priors(X, config)
     resp = bgmm._init_responsibilities(X, config.max_components, np.random.default_rng(seed))
     j = config.max_components
@@ -328,19 +330,19 @@ def _loop_fit_full(X, config, seed):
                                   means=np.zeros((j, X.shape[1])))
     prev = -np.inf
     for _ in range(config.max_iterations):
-        _loop_m_step(X, state.responsibilities, pri, state)
-        log_dens = _loop_expected_log_density(X, state)
+        scale = _loop_m_step(X, state.responsibilities, pri, state)
+        log_dens = _loop_expected_log_density(X, state, scale)
         log_norm = logsumexp(log_dens, axis=1)
         state.responsibilities = np.exp(log_dens - log_norm[:, None])
-        value = float(log_norm.sum()) - _loop_kl_terms(pri, state)
+        value = float(log_norm.sum()) - _loop_kl_terms(pri, state, scale)
         state.elbo_trace.append(value)
         if abs(value - prev) < config.elbo_tolerance:
             break
         prev = value
-    return state
+    return state, scale
 
 
-def _loop_plug_in(state, config):
+def _loop_plug_in(state, scale, config):
     """The full-covariance plug-in as the per-component code built it:
     inv(dof * scale) through a Cholesky solve, then an eigenvalue floor."""
     weights = state.expected_weights()
@@ -350,7 +352,7 @@ def _loop_plug_in(state, config):
     d = state.means.shape[1]
     cov = []
     for k in np.flatnonzero(keep):
-        sigma = cho_solve((cholesky(state.dof[k] * state.scale[k], lower=True), True), np.eye(d))
+        sigma = cho_solve((cholesky(state.dof[k] * scale[k], lower=True), True), np.eye(d))
         vals, vecs = eigh(0.5 * (sigma + sigma.T))
         cov.append(vecs @ np.diag(np.maximum(vals, config.variance_floor)) @ vecs.T)
     return FittedMixture(weights=weights[keep] / weights[keep].sum(), means=state.means[keep],
@@ -360,7 +362,7 @@ def _loop_plug_in(state, config):
 
 def _assert_close(got, ref, name):
     # relative to the array's largest entry: near-zero off-diagonal entries
-    # of the scale matrix differ by more than 1e-12 of themselves
+    # of a matrix differ by more than 1e-12 of themselves
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
 
@@ -375,12 +377,12 @@ class TestBatchedFullIteration:
         # both iterations stop at max_iterations, after the same steps
         config = BgmmConfig(max_components=j, covariance_type="full",
                             max_iterations=10, elbo_tolerance=1e-300)
-        ref = _loop_fit_full(X, config, seed=3)
+        ref, _ = _loop_fit_full(X, config, seed=3)
         got = bgmm._fit_once(X, X ** 2, config, bgmm._resolve_priors(X, config),
                              np.random.default_rng(3))
         assert len(ref.elbo_trace) == len(got.elbo_trace) == 10
         np.testing.assert_allclose(got.elbo_trace, ref.elbo_trace, rtol=1e-12, atol=0)
-        for name in ("scale", "dof", "means", "responsibilities"):
+        for name in ("w_inv", "dof", "means", "responsibilities"):
             _assert_close(getattr(got, name), getattr(ref, name), name)
         # the plug-in reads w_inv / dof as a symmetric matrix
         assert np.array_equal(got.w_inv, got.w_inv.transpose(0, 2, 1))
@@ -417,9 +419,9 @@ class TestBatchedFullIteration:
         for reference in (False, True):
             if reference:
                 def loop_fit(rows, config, seed):
-                    state = _loop_fit_full(np.asarray(rows, dtype=np.float64), config, seed)
+                    state, scale = _loop_fit_full(np.asarray(rows, dtype=np.float64), config, seed)
                     loop_fits.append(seed)
-                    return _loop_plug_in(state, config), state
+                    return _loop_plug_in(state, scale, config), state
                 monkeypatch.setattr("clbgmm.ensemble.fit", loop_fit)
             ens = run_continual(manifest, [ta, tb], seed=1, compute_joint_reference=False).ensemble
             if test_rows is None:
@@ -435,23 +437,25 @@ def _fitted_full_state(seed=11, n=240, d=6):
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 4.0, size=(3, d))
     X = centers[rng.integers(0, 3, size=n)] + rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
-    mix, state = fit(X, BgmmConfig(max_components=4, covariance_type="full"), seed=0)
-    return X, mix, state
+    config = BgmmConfig(max_components=4, covariance_type="full")
+    mix, state = fit(X, config, seed=0)
+    return X, mix, state, bgmm._resolve_priors(X, config)
 
 
 class TestSingleFactorAlgebra:
     def test_plug_in_is_inverse_of_posterior_mean_precision(self):
-        X, mix, state = _fitted_full_state()
+        X, mix, state, _ = _fitted_full_state()
         keep = state.expected_weights() >= BgmmConfig().prune_threshold
-        expected = np.linalg.inv(state.dof[keep][:, None, None] * state.scale[keep])
+        scale = np.linalg.inv(state.w_inv[keep])
+        expected = np.linalg.inv(state.dof[keep][:, None, None] * scale)
         assert np.linalg.eigvalsh(expected).min() > BgmmConfig().variance_floor  # floor unused
         for k in range(mix.n_components):
             _assert_close(mix.covariances[k], expected[k], k)
 
     def test_e_step_equals_explicit_quadratic_form(self):
-        X, _, state = _fitted_full_state()
+        X, _, state, pri = _fitted_full_state()
         d = X.shape[1]
-        got = bgmm._expected_log_density(X, X ** 2, state)
+        got, kl = bgmm._e_step(X, X ** 2, pri, state)
         w = np.linalg.inv(state.w_inv)
         xc = X[None, :, :] - state.means[:, None, :]
         quad = np.einsum("jnd,jde,jne->nj", xc, state.dof[:, None, None] * w, xc)
@@ -460,11 +464,10 @@ class TestSingleFactorAlgebra:
         ref = digamma(state.alpha) - digamma(state.alpha.sum()) + 0.5 * elog_det \
             - 0.5 * d * bgmm.LOG_2PI - 0.5 * (quad + d / state.beta)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        _assert_close(state.scale, w, "scale")
-        np.testing.assert_allclose(state.logdet_w, np.linalg.slogdet(w)[1], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kl, _loop_kl_terms(pri, state, w), rtol=1e-12, atol=0)
 
     def test_large_offset_keeps_log_likelihood_differences(self):
-        X, mix, state = _fitted_full_state()
+        X, mix, state, pri = _fitted_full_state()
         shifted_mix, shifted_state = fit(X + 1e6, BgmmConfig(max_components=4, covariance_type="full"),
                                          seed=0)
         assert len(shifted_state.elbo_trace) == len(state.elbo_trace)
@@ -476,9 +479,9 @@ class TestSingleFactorAlgebra:
                               covariances=mix.covariances, covariance_type="full", metadata={})
         np.testing.assert_allclose(bgmm._component_log_density(moved, X + 1e6),
                                    bgmm._component_log_density(mix, X), rtol=0, atol=1e-8)
-        e_step = bgmm._expected_log_density(X, X ** 2, state)
+        e_step = bgmm._e_step(X, X ** 2, pri, state)[0]
         state.means = state.means + 1e6
-        np.testing.assert_allclose(bgmm._expected_log_density(X + 1e6, (X + 1e6) ** 2, state),
+        np.testing.assert_allclose(bgmm._e_step(X + 1e6, (X + 1e6) ** 2, pri, state)[0],
                                    e_step, rtol=0, atol=1e-8)
 
 

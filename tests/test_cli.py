@@ -61,6 +61,10 @@ MALFORMED_MANIFESTS = {
     "classes": lambda m: m["tasks"][0].__setitem__("classes", "basic_0"),
     "normalize": lambda m: m["modalities"][1].__setitem__("normalize", "false"),
     "use_class_priors": lambda m: m.__setitem__("use_class_priors", "false"),
+    # dim 0 on a CSV without feature columns failed later, in the fit
+    "modalities[0].dim": lambda m: m["modalities"][0].__setitem__("dim", 0),
+    # a repeated task name wrote two columns under one name in `report`
+    "task name": lambda m: m["tasks"][1].__setitem__("name", m["tasks"][0]["name"]),
 }
 
 
@@ -224,6 +228,18 @@ class TestMetrics:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         return str(bad)
+
+    def test_missing_field_is_named(self, results_file, tmp_path, capsys):
+        bad = self.rewrite(results_file, tmp_path, lambda doc: doc.pop("seed"))
+        assert main(["metrics", "--results", bad]) == 2
+        assert f"malformed results file {bad}: missing 'seed'" in capsys.readouterr().err
+
+    def test_list_at_top_level_is_a_wrong_type(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert main(["metrics", "--results", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed results file {bad}: wrong type" in err and "missing" not in err
 
     def test_two_field_prediction_row_exits_2(self, results_file, tmp_path, capsys):
         bad = self.rewrite(results_file, tmp_path,

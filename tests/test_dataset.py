@@ -58,6 +58,16 @@ class TestParseManifest:
         with pytest.raises(ValidationError, match="seed 1 is listed more than once"):
             parse_manifest(json.dumps(doc))
 
+    def test_duplicate_task_name_named(self):
+        doc = dict(MINIMAL, tasks=[{"name": "t1", "classes": ["A"]}, {"name": "t1", "classes": ["B"]}])
+        with pytest.raises(ValidationError, match="task name 't1' is declared more than once"):
+            parse_manifest(json.dumps(doc))
+
+    def test_dim_below_one_named(self):
+        doc = dict(MINIMAL, modalities=[dict(MINIMAL["modalities"][0], dim=0)])
+        with pytest.raises(ValidationError, match=r"'modalities\[0\]\.dim' must be >= 1, got 0"):
+            parse_manifest(json.dumps(doc))
+
     def test_cfee_task_grouping(self):
         doc = dict(MINIMAL)
         doc["tasks"] = CFEE_TASKS
