@@ -6,7 +6,6 @@ from .bgmm import (
     FittedMixture,
     VariationalState,
     fit,
-    log_likelihood,
     log_likelihood_batch,
 )
 from .dataset import (

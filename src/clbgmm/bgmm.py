@@ -14,11 +14,14 @@ precision shared by every dimension: its rate is stored as (J, 1) and
 broadcast over the D columns, so the two types share one M-step and one
 E-step. The E-step yields both the expected log densities and the KL term of
 the bound, so each expectation the two share is computed once per iteration;
-prior-only terms are computed once per fit. Diagonal fits keep the per-term
-formulas' operands and order, bit for bit. Spherical fits sum over the D
-columns, so they match formulas written for one scalar precision to rounding
-only. A full-covariance iteration factors each inverse scale matrix once and
-derives the rest from that factor (Bishop, PRML section 10.2).
+prior-only terms are computed once per fit. A full-covariance iteration
+factors each inverse scale matrix once and derives the rest from that factor.
+
+The prior mean is the data mean, and each fit runs in its frame: the rows are
+centred on it once, so the prior mean is zero in the iteration, every
+family's scatter is the second moment minus beta m m^T (Bishop, PRML section
+10.2), and a large offset cancels before any square is taken (Chan, Golub and
+LeVeque, 1983). The plug-in adds the data mean back to the means.
 """
 
 from __future__ import annotations
@@ -153,10 +156,11 @@ class VariationalState:
     """Posterior parameters and responsibilities of one fit, and its ELBO trace.
 
     alpha (J,) is the Dirichlet posterior, beta (J,) and means (J, D) the
-    Gaussian one. shape (J,) and rate hold the Gamma precision posteriors
-    (rate (J, 1) spherical, one precision per component; (J, D) diagonal);
-    dof (J,) and w_inv (J, D, D), the inverse scale matrix, the Wishart
-    posterior of the full structure. Unused fields stay None.
+    Gaussian one, with means relative to the data mean. shape (J,) and rate
+    hold the Gamma precision posteriors (rate (J, 1) spherical, one precision
+    per component; (J, D) diagonal); dof (J,) and w_inv (J, D, D), the
+    inverse scale matrix, the Wishart posterior of the full structure.
+    Unused fields stay None.
     """
 
     covariance_type: str
@@ -240,7 +244,7 @@ class _Priors:
 
     alpha0: float
     beta0: float
-    m0: np.ndarray
+    m0: np.ndarray               # data mean; the fit centres the rows on it
     a0: float                    # Gamma shape (spherical/diagonal)
     b0: np.ndarray               # Gamma rate: (1,) spherical, (D,) diagonal
     gammaln_j_alpha0: float      # gammaln(J * alpha0)
@@ -308,34 +312,27 @@ def _init_responsibilities(X: np.ndarray, n_components: int,
 
 def _m_step(X: np.ndarray, x2: np.ndarray, resp: np.ndarray, pri: _Priors,
             state: VariationalState) -> None:
-    """Posterior updates from the responsibilities; x2 is X ** 2."""
+    """Posterior updates from the responsibilities, on rows centred on the
+    prior mean; x2 is X ** 2."""
     d = X.shape[1]
     counts = resp.sum(axis=0)
     nk = counts + 1e-12
-    xbar = (resp.T @ X) / nk[:, None]
-
+    beta = state.beta = pri.beta0 + nk
+    m = state.means = (resp.T @ X) / beta[:, None]
     state.alpha = pri.alpha0 + counts
-    state.beta = pri.beta0 + nk
-    state.means = (pri.beta0 * pri.m0[None, :] + nk[:, None] * xbar) / state.beta[:, None]
 
-    shrink = (pri.beta0 * nk / state.beta)  # (J,)
-    dev = xbar - pri.m0[None, :]
-
+    # scatter about the prior mean (zero), the shrinkage of m included: the
+    # weighted second moment minus beta m m^T
     if state.covariance_type != "full":
-        # per-dim scatter around the weighted mean; one sum over the
-        # dimensions for the single spherical precision
-        sq = resp.T @ x2 - nk[:, None] * xbar ** 2  # (J, D)
-        sq = np.maximum(sq, 0.0)
-        scatter = sq + shrink[:, None] * dev ** 2
+        scatter = np.maximum(resp.T @ x2 - beta[:, None] * m ** 2, 0.0)   # (J, D)
         if state.covariance_type == "spherical":
             scatter = scatter.sum(axis=1, keepdims=True)               # (J, 1)
         state.shape = pri.a0 + 0.5 * nk * (d / scatter.shape[1])
         state.rate = pri.b0[None, :] + 0.5 * scatter
     else:
         state.dof = pri.nu0 + nk
-        xc = X[None, :, :] - xbar[:, None, :]                           # (J, N, D)
-        scatter = (resp.T[:, :, None] * xc).transpose(0, 2, 1) @ xc
-        w_inv = pri.w0_inv + scatter + shrink[:, None, None] * (dev[:, :, None] * dev[:, None, :])
+        w_inv = pri.w0_inv + (resp.T[:, :, None] * X).transpose(0, 2, 1) @ X \
+            - beta[:, None, None] * (m[:, :, None] * m[:, None, :])
         state.w_inv = 0.5 * (w_inv + w_inv.transpose(0, 2, 1))
 
 
@@ -347,8 +344,9 @@ def _diag_quad(X: np.ndarray, x2: np.ndarray, prec: np.ndarray, means: np.ndarra
 def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
             state: VariationalState) -> tuple[np.ndarray, float]:
     """Per-sample, per-component expected Gaussian log density + E[log pi]
-    (x2 is X ** 2), and KL(q || prior) for the weight and mean/precision
-    posteriors. Each expectation the two share is computed once."""
+    of rows centred on the prior mean (x2 is X ** 2), and KL(q || prior) for
+    the weight and mean/precision posteriors. Each expectation the two share
+    is computed once."""
     alpha, beta, m = state.alpha, state.beta, state.means
     d = m.shape[1]
     elog_pi = digamma(alpha) - digamma(alpha.sum())
@@ -356,7 +354,6 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
         + pri.j_gammaln_alpha0 - gammaln(alpha).sum() \
         + ((alpha - pri.alpha0) * elog_pi).sum()
 
-    dev = m - pri.m0[None, :]
     if state.covariance_type != "full":
         a, b = state.shape, state.rate
         digamma_a = digamma(a)
@@ -368,7 +365,7 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
             - 0.5 * (_diag_quad(X, x2, prec, m) + d / beta)
         # summed over a spherical rate (J, 1), this is one Gamma per component
         kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
-               + 0.5 * pri.beta0 * ((prec * dev ** 2).sum(axis=1) + d / beta)).sum()
+               + 0.5 * pri.beta0 * ((prec * m ** 2).sum(axis=1) + d / beta)).sum()
         kl += ((a[:, None] - pri.a0) * digamma_a[:, None]
                - gammaln(a)[:, None] + pri.gammaln_a0
                + pri.a0 * (log_b - pri.log_b0[None, :])
@@ -384,7 +381,7 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
         elog_det = digamma(wishart_arg).sum(axis=1) + d * np.log(2.0) + logdet_w
         log_dens = 0.5 * elog_det - 0.5 * d * LOG_2PI \
             - 0.5 * (nu * _centred_quad(X, m, low_inv) + d / beta)
-        quad = (((nu[:, None] * dev)[:, None, :] @ w) @ dev[:, :, None])[:, 0, 0]
+        quad = (((nu[:, None] * m)[:, None, :] @ w) @ m[:, :, None])[:, 0, 0]
         mean_kl = 0.5 * d * np.log(beta / pri.beta0) - 0.5 * d \
             + 0.5 * pri.beta0 * (quad + d / beta)
         log_b_q = -0.5 * nu * logdet_w - 0.5 * nu * d * np.log(2.0) \
@@ -435,7 +432,7 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
     n_pruned = int(np.sum(~keep))
     w = weights[keep]
     w = w / w.sum()
-    means = state.means[keep]
+    means = state.means[keep] + pri.m0
     floor = config.variance_floor
 
     if config.covariance_type != "full":
@@ -488,6 +485,7 @@ def fit(data, config: BgmmConfig, seed: int):
 
     with np.errstate(all="ignore"):
         pri = _resolve_priors(X, config)
+        X = X - pri.m0
         x2 = X ** 2
         rng = np.random.default_rng(seed)
         best_state = None

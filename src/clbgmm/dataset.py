@@ -126,7 +126,6 @@ class DataSplit:
 
 @dataclass(frozen=True)
 class TaskBatch:
-    task_index: int       # 1-based
     name: str
     class_set: frozenset
     train: DataSplit
@@ -399,7 +398,6 @@ def build_task_sequence(manifest: ExperimentManifest, tables) -> list:
     for i, task in enumerate(manifest.tasks):
         in_task = task_of == i
         batches.append(TaskBatch(
-            task_index=i + 1,
             name=task.name,
             class_set=frozenset(task.class_labels),
             train=select(in_task & is_train),
@@ -425,6 +423,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     modality-B mean scaled by modality_bias (discriminative there).
     Returns (table_a, table_b, task_specs).
     """
+    if seed < 0:
+        raise ValidationError(f"synthetic seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     n_basic = config.n_basic_classes
     n_compound = config.n_compound_classes

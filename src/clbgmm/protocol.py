@@ -181,7 +181,6 @@ def train_joint_reference(manifest: ExperimentManifest, tables, k: int, seed: in
 
     trains = [b.train for b in batches[:k]]
     joined = TaskBatch(
-        task_index=1,
         name=f"joint_1..{k}",
         class_set=frozenset().union(*(b.class_set for b in batches[:k])),
         train=DataSplit(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from clbgmm.bgmm import (
     BgmmConfig,
     FittedMixture,
     fit,
-    log_likelihood,
     log_likelihood_batch,
 )
 from clbgmm.dataset import (
@@ -154,7 +155,7 @@ class TestLogLikelihood:
         mix = FittedMixture(
             weights=np.array([1.0]), means=np.array([[0.0]]),
             covariances=np.array([[1.0]]), covariance_type="diagonal", metadata={})
-        assert log_likelihood(mix, [0.0]) == pytest.approx(-0.9189385, abs=1e-6)
+        assert log_likelihood_batch(mix, [[0.0]])[0] == pytest.approx(-0.9189385, abs=1e-6)
 
     def test_mixture_collapse_identity(self):
         one = FittedMixture(
@@ -164,17 +165,18 @@ class TestLogLikelihood:
             weights=np.array([0.5, 0.5]), means=np.array([[1.0, 2.0], [1.0, 2.0]]),
             covariances=np.array([[1.0, 2.0], [1.0, 2.0]]),
             covariance_type="diagonal", metadata={})
-        x = [0.3, -1.0]
-        assert log_likelihood(one, x) == pytest.approx(log_likelihood(two, x), abs=1e-12)
+        x = [[0.3, -1.0]]
+        assert log_likelihood_batch(one, x) == pytest.approx(log_likelihood_batch(two, x), abs=1e-12)
 
     def test_fitted_clusters_ordering(self):
         mix, _ = fit(two_cluster_data(seed=13), BgmmConfig(max_components=8), seed=1)
-        assert log_likelihood(mix, [0.0, 0.0]) > log_likelihood(mix, [5.0, 5.0])
+        at_center, between = log_likelihood_batch(mix, [[0.0, 0.0], [5.0, 5.0]])
+        assert at_center > between
 
     def test_dimension_mismatch(self):
         mix, _ = fit(two_cluster_data(seed=14), BgmmConfig(max_components=4), seed=1)
         with pytest.raises(ValidationError):
-            log_likelihood(mix, [0.0, 0.0, 0.0])
+            log_likelihood_batch(mix, [[0.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
     def test_density_integrates_to_one_1d(self, ct):
@@ -184,7 +186,7 @@ class TestLogLikelihood:
         sigma = float(np.sqrt(np.max(mix.covariances)))
         lo = float(mix.means.min()) - 10 * sigma
         hi = float(mix.means.max()) + 10 * sigma
-        total, _ = quad(lambda x: np.exp(log_likelihood(mix, [x])), lo, hi, limit=200)
+        total, _ = quad(lambda x: np.exp(log_likelihood_batch(mix, [[x]])[0]), lo, hi, limit=200)
         assert total == pytest.approx(1.0, abs=1e-3)
 
 
@@ -246,8 +248,9 @@ class TestLogsumexp:
 
 # The per-component full-covariance iteration as it was before the batched
 # rewrite, with scipy's cholesky/cho_solve/logsumexp: it inverts each inverse
-# scale matrix and factors the result again. The batched iteration derives
-# everything from one factor per component, so it matches this reference to
+# scale matrix and factors the result again, and it runs on the uncentred rows
+# with a prior mean m0. The batched iteration derives everything from one
+# factor per component, on rows centred on m0, so it matches this reference to
 # rounding, not bit for bit.
 
 def _loop_m_step(X, resp, pri, state):
@@ -360,10 +363,10 @@ def _loop_plug_in(state, scale, config):
                          metadata={"converged": True, "all_pruned_fallback": False})
 
 
-def _assert_close(got, ref, name):
+def _assert_close(got, ref, name, tol=1e-12):
     # relative to the array's largest entry: near-zero off-diagonal entries
-    # of a matrix differ by more than 1e-12 of themselves
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(), err_msg=name)
+    # of a matrix differ by more than tol of themselves
+    np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max(), err_msg=name)
 
 
 class TestBatchedFullIteration:
@@ -378,12 +381,16 @@ class TestBatchedFullIteration:
         config = BgmmConfig(max_components=j, covariance_type="full",
                             max_iterations=10, elbo_tolerance=1e-300)
         ref, _ = _loop_fit_full(X, config, seed=3)
-        got = bgmm._fit_once(X, X ** 2, config, bgmm._resolve_priors(X, config),
-                             np.random.default_rng(3))
+        pri = bgmm._resolve_priors(X, config)
+        xc = X - pri.m0
+        got = bgmm._fit_once(xc, xc ** 2, config, pri, np.random.default_rng(3))
+        got.means = got.means + pri.m0
         assert len(ref.elbo_trace) == len(got.elbo_trace) == 10
-        np.testing.assert_allclose(got.elbo_trace, ref.elbo_trace, rtol=1e-12, atol=0)
+        # the scatter about the data mean is summed in another order than the
+        # reference's scatter about each component mean
+        np.testing.assert_allclose(got.elbo_trace, ref.elbo_trace, rtol=1e-11, atol=0)
         for name in ("w_inv", "dof", "means", "responsibilities"):
-            _assert_close(getattr(got, name), getattr(ref, name), name)
+            _assert_close(getattr(got, name), getattr(ref, name), name, tol=1e-11)
         # the plug-in reads w_inv / dof as a symmetric matrix
         assert np.array_equal(got.w_inv, got.w_inv.transpose(0, 2, 1))
 
@@ -454,6 +461,7 @@ class TestSingleFactorAlgebra:
 
     def test_e_step_equals_explicit_quadratic_form(self):
         X, _, state, pri = _fitted_full_state()
+        X = X - pri.m0  # the fit's frame
         d = X.shape[1]
         got, kl = bgmm._e_step(X, X ** 2, pri, state)
         w = np.linalg.inv(state.w_inv)
@@ -464,7 +472,8 @@ class TestSingleFactorAlgebra:
         ref = digamma(state.alpha) - digamma(state.alpha.sum()) + 0.5 * elog_det \
             - 0.5 * d * bgmm.LOG_2PI - 0.5 * (quad + d / state.beta)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        np.testing.assert_allclose(kl, _loop_kl_terms(pri, state, w), rtol=1e-12, atol=0)
+        uncentred = dataclasses.replace(state, means=state.means + pri.m0)
+        np.testing.assert_allclose(kl, _loop_kl_terms(pri, uncentred, w), rtol=1e-12, atol=0)
 
     def test_large_offset_keeps_log_likelihood_differences(self):
         X, mix, state, pri = _fitted_full_state()
@@ -485,12 +494,44 @@ class TestSingleFactorAlgebra:
                                    e_step, rtol=0, atol=1e-8)
 
 
+class TestShiftInvariance:
+    # every fit runs on rows centred on the data mean, so a constant shift of
+    # the data moves only the means; an uncentred scatter loses the variance
+    # to cancellation once the offset dwarfs the spread
+
+    @pytest.mark.parametrize("offset", [1e4, 1e8])
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_fit_commutes_with_a_constant_shift(self, ct, offset):
+        rng = np.random.default_rng(12)
+        X = np.vstack([rng.normal(c, 1.0, size=(80, 3)) for c in (0.0, 6.0)]) \
+            * rng.uniform(0.5, 2.0, 3)
+        config = BgmmConfig(max_components=6, covariance_type=ct)
+        mix, state = fit(X, config, seed=1)
+        shifted, shifted_state = fit(X + offset, config, seed=1)
+        assert mix.n_components == shifted.n_components == 2
+        assert len(shifted_state.elbo_trace) == len(state.elbo_trace)
+        np.testing.assert_allclose(shifted.covariances, mix.covariances,
+                                   rtol=0, atol=1e-6 * np.abs(mix.covariances).max())
+        ll = log_likelihood_batch(mix, X)
+        ll_shifted = log_likelihood_batch(shifted, X + offset)
+        np.testing.assert_allclose(ll_shifted - ll_shifted[0], ll - ll[0], rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_variance_at_a_large_offset(self, ct):
+        spread = np.random.default_rng(0).normal(size=(200, 1))
+        mix, _ = fit(1e8 + spread, BgmmConfig(max_components=1, covariance_type=ct), seed=0)
+        # with the default priors, one component's plug-in variance is the
+        # sample variance
+        assert float(mix.covariances.ravel()[0]) == pytest.approx(spread.var(), rel=1e-6)
+        assert abs(spread.var() - 1.0) < 0.1
+
+
 # The diagonal/spherical per-class iteration as it was before each term was
 # computed once per fit or iteration (X ** 2 every iteration, digamma and
 # log(rate) recomputed in the KL term, prior-only terms every iteration,
 # scipy's logsumexp) and before spherical fits ran through the diagonal
-# formulas: the reference the trimmed iteration must reproduce, bit for bit
-# for diagonal fits and to rounding for spherical ones.
+# formulas, and before each fit ran on rows centred on the prior mean m0:
+# the reference the trimmed iteration must reproduce to rounding.
 
 def _ref_m_step(X, resp, pri, state):
     d = X.shape[1]
@@ -607,20 +648,17 @@ class TestTrimmedIteration:
             assert len(ref.elbo_trace) == max_iterations
         else:
             assert 3 <= len(ref.elbo_trace) < max_iterations
-        names = ("alpha", "means", "shape", "rate", "responsibilities")
-        if ct == "diagonal":
-            assert np.array_equal(got.elbo_trace, ref.elbo_trace)
-            for name in names:
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-            return
-        # spherical: one shared precision, stored as a (J, 1) rate, summed in
-        # another order than the spherical-only formulas of the reference
+        # the fit's means are relative to the data mean, and its scatter, the
+        # second moment minus beta m^2, rounds differently from the
+        # reference's scatter about each component mean; a spherical fit's
+        # (J, 1) rate also sums over the D columns in another order
+        got.means = got.means + X.mean(axis=0)
         assert len(got.elbo_trace) == len(ref.elbo_trace)
-        np.testing.assert_allclose(got.elbo_trace, ref.elbo_trace, rtol=1e-12, atol=0)
-        for name in names:
+        np.testing.assert_allclose(got.elbo_trace, ref.elbo_trace, rtol=1e-11, atol=0)
+        for name in ("alpha", "means", "shape", "rate", "responsibilities"):
             want = getattr(ref, name)
             np.testing.assert_allclose(getattr(got, name).reshape(want.shape), want,
-                                       rtol=1e-12, atol=0, err_msg=name)
+                                       rtol=0, atol=1e-11 * np.abs(want).max(), err_msg=name)
 
 
 def _broadcast_component_log_density(mix, X):

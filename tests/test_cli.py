@@ -41,6 +41,11 @@ class TestSynth:
                      "--basic", "3", "--compound", "100"])
         assert code == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_cfee_shaped_class_count(self, tmp_path):
         out = tmp_path / "cfee"
         assert main(["synth", "--out", str(out), "--basic", "7", "--compound", "15",

@@ -288,6 +288,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError, match="too many compound"):
             SyntheticConfig(n_basic_classes=3, n_compound_classes=100)
 
+    def test_negative_seed_named(self):
+        config = SyntheticConfig(n_basic_classes=2, n_compound_classes=0)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+            generate_synthetic(config, seed=-1)
+
     def test_compound_means_are_parent_midpoints(self):
         config = SyntheticConfig(n_basic_classes=4, n_compound_classes=4,
                                  cluster_spread=0.01,

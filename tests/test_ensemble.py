@@ -34,11 +34,9 @@ def make_split(ids, labels, matrix):
 def make_batch(index, samples):
     ids = [sid for sid, _ in samples]
     labels = [cls for _, cls in samples]
-    return TaskBatch(
-        task_index=index, name=f"t{index}",
-        class_set=frozenset(labels),
-        train=make_split(ids, labels, [[float(i)] for i in range(len(samples))]),
-        test=make_split([], [], np.empty((0, 1))))
+    return TaskBatch(name=f"t{index}", class_set=frozenset(labels),
+                     train=make_split(ids, labels, [[float(i)] for i in range(len(samples))]),
+                     test=make_split([], [], np.empty((0, 1))))
 
 
 def cluster_batch(index, classes, rng, n=40):
@@ -48,7 +46,7 @@ def cluster_batch(index, classes, rng, n=40):
             ids.append(f"{cls}_{i}")
             labels.append(cls)
             vectors.append(rng.normal(center, 0.3, size=2))
-    return TaskBatch(task_index=index, name=f"t{index}",
+    return TaskBatch(name=f"t{index}",
                      class_set=frozenset(cls for cls, _ in classes),
                      train=make_split(ids, labels, vectors),
                      test=make_split([], [], np.empty((0, 2))))
@@ -305,7 +303,7 @@ class TestFitWarnings:
         vectors = np.vstack([rng.normal(0.0, 0.3, size=(40, 2)),
                              rng.normal(8.0, 0.3, size=(40, 2))])
         ids = [f"b{i}" for i in range(80)]
-        batch = TaskBatch(task_index=1, name="t1", class_set=frozenset({"b"}),
+        batch = TaskBatch(name="t1", class_set=frozenset({"b"}),
                           train=make_split(ids, ["b"] * 80, vectors),
                           test=make_split([], [], np.empty((0, 2))))
         config = BgmmConfig(max_components=2, prune_threshold=0.9)
