@@ -30,7 +30,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.special import digamma, gammaln
 
@@ -214,24 +213,17 @@ def _centred_quad(X: np.ndarray, means: np.ndarray, low_inv: np.ndarray) -> np.n
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of a 2-D array, bit-for-bit equal to
-    scipy.special.logsumexp(a, axis=1) (scipy 1.17's algorithm).
+    """log(sum(exp(a), axis=1)) of a 2-D array, shifted by each row's maximum
+    (Blanchard, Higham and Higham, IMA J. Numer. Anal. 2021).
 
-    The maximal terms of each row are split out of the sum for precision;
-    rows whose result is not finite fall back to the direct formula. Rows
-    with -inf or NaN raise floating-point warnings unless the caller holds
-    an np.errstate that ignores them.
+    A row maximum that is not finite is replaced by 0, so an all -inf row
+    gives -inf, a +inf entry gives +inf and a NaN propagates. Such rows raise
+    floating-point warnings unless the caller holds an np.errstate that
+    ignores them.
     """
     a_max = a.max(axis=1, keepdims=True)
-    is_max = a == a_max
-    n_max = is_max.sum(axis=1, keepdims=True, dtype=a.dtype)
-    rest = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
-    rest = np.where(rest == 0, rest, rest / n_max)
-    out = (np.log1p(rest) + np.log(n_max) + a_max)[:, 0]
-    finite = np.isfinite(out)
-    if not finite.all():
-        out = np.where(finite, out, np.log(np.exp(a).sum(axis=1)))
-    return out
+    a_max = np.where(np.isfinite(a_max), a_max, 0.0)
+    return np.log(np.exp(a - a_max).sum(axis=1)) + a_max[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +414,10 @@ def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
 
 def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
              seed: int, restart: int) -> FittedMixture:
+    """Prune the state and return its posterior-mean mixture: weights
+    renormalised over the kept components, means moved back by the data
+    mean, and covariances with variances (eigenvalues, for full) floored at
+    variance_floor."""
     weights = state.expected_weights()
     keep = weights >= config.prune_threshold
     fallback = False
@@ -441,12 +437,8 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
             cov = cov[:, 0]
     else:
         # inverse of the posterior-mean precision dof * W
-        sigma = state.w_inv[keep] / state.dof[keep][:, None, None]
-        cov = np.empty_like(sigma)
-        for i in range(sigma.shape[0]):
-            vals, vecs = eigh(sigma[i])
-            vals = np.maximum(vals, floor)
-            cov[i] = vecs @ np.diag(vals) @ vecs.T
+        vals, vecs = np.linalg.eigh(state.w_inv[keep] / state.dof[keep][:, None, None])
+        cov = (vecs * np.maximum(vals, floor)[:, None, :]) @ vecs.transpose(0, 2, 1)
 
     converged = len(state.elbo_trace) < config.max_iterations or (
         len(state.elbo_trace) >= 2
@@ -460,7 +452,6 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
         "restart": restart,
         "converged": bool(converged),
         "all_pruned_fallback": fallback,
-        "scoring": "posterior-mean plug-in",
     }
     return FittedMixture(weights=w, means=means, covariances=cov,
                          covariance_type=config.covariance_type, metadata=meta)

@@ -95,17 +95,23 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _metric_rows(report) -> list:
+    """The k,AA,AIA,FM,IM table of a metric series, header row first."""
+    rows = [["k", "AA", "AIA", "FM", "IM"]]
+    for k in range(len(report.aa)):
+        rows.append([str(k + 1), f"{report.aa[k]:.6f}", f"{report.aia[k]:.6f}",
+                     "" if report.fm[k] is None else f"{report.fm[k]:.6f}",
+                     "" if report.im is None else f"{report.im[k]:.6f}"])
+    return rows
+
+
 def cmd_metrics(args) -> int:
     result = load_run_result(args.results)
     report = result.metrics()
     if args.format == "json":
         text = json.dumps(report.to_dict(), sort_keys=True, indent=1)
     else:
-        lines = ["k,AA,AIA,FM,IM"]
-        for k in range(result.matrix.n_tasks):
-            fm = "" if report.fm[k] is None else f"{report.fm[k]:.6f}"
-            im = "" if report.im is None else f"{report.im[k]:.6f}"
-            lines.append(f"{k + 1},{report.aa[k]:.6f},{report.aia[k]:.6f},{fm},{im}")
+        lines = [",".join(row) for row in _metric_rows(report)]
         lines.append(f"# final_macro={report.final_macro_accuracy:.6f} "
                      f"final_micro={report.final_micro_accuracy:.6f}")
         text = "\n".join(lines)
@@ -168,18 +174,8 @@ def cmd_report(args) -> int:
                 row = [k] + [f"{result.matrix.get(k, j):.6f}" if j <= k else ""
                              for j in range(1, t + 1)]
                 writer.writerow(row)
-        report = result.metrics()
         with (out_dir / f"{stem}_metrics.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "AA", "AIA", "FM", "IM"])
-            for k in range(t):
-                writer.writerow([
-                    k + 1,
-                    f"{report.aa[k]:.6f}",
-                    f"{report.aia[k]:.6f}",
-                    "" if report.fm[k] is None else f"{report.fm[k]:.6f}",
-                    "" if report.im is None else f"{report.im[k]:.6f}",
-                ])
+            csv.writer(fh).writerows(_metric_rows(result.metrics()))
 
     # per-class correct counts side by side, plus a difference column for
     # the first two runs

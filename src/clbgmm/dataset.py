@@ -172,6 +172,14 @@ def _expect(value, kind, field: str, expected: str):
     return value
 
 
+def _known(entry: dict, keys: tuple, where: str = "") -> dict:
+    """Return entry if it has no key outside keys, else raise naming the key."""
+    for key in entry:
+        if key not in keys:
+            raise ValidationError(f"unknown manifest field {where + key!r}")
+    return entry
+
+
 def _as_int(value, field: str) -> int:
     """A JSON integer; a float, string or boolean is not truncated or cast."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -187,6 +195,7 @@ def parse_manifest(text: str) -> ExperimentManifest:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _expect(doc, dict, "manifest", "a JSON object")
+    _known(doc, ("tasks", "modalities", "fusion", "bgmm", "seeds", "output", "use_class_priors"))
 
     for key in ("tasks", "modalities", "seeds", "output"):
         if key not in doc:
@@ -194,18 +203,20 @@ def parse_manifest(text: str) -> ExperimentManifest:
 
     tasks = []
     for i, entry in enumerate(_expect(doc["tasks"], list, "tasks", "a list")):
-        _expect(entry, dict, f"tasks[{i}]", "an object")
+        _known(_expect(entry, dict, f"tasks[{i}]", "an object"), ("name", "classes"), f"tasks[{i}].")
         if "name" not in entry or "classes" not in entry:
             raise ValidationError(f"task {i}: missing required field 'name' or 'classes'")
         classes = entry["classes"]
         if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
             raise ValidationError(
                 f"manifest field 'tasks[{i}].classes' must be a list of class-label strings, got {classes!r}")
-        tasks.append(TaskSpec(name=str(entry["name"]), class_labels=tuple(classes)))
+        name = _expect(entry["name"], str, f"tasks[{i}].name", "a string")
+        tasks.append(TaskSpec(name=name, class_labels=tuple(classes)))
 
     modalities = []
     for i, entry in enumerate(_expect(doc["modalities"], list, "modalities", "a list")):
-        _expect(entry, dict, f"modalities[{i}]", "an object")
+        _known(_expect(entry, dict, f"modalities[{i}]", "an object"),
+               ("name", "path", "dim", "normalize"), f"modalities[{i}].")
         for key in ("name", "path", "dim"):
             if key not in entry:
                 raise ValidationError(f"modality {i}: missing required field {key!r}")
@@ -213,13 +224,13 @@ def parse_manifest(text: str) -> ExperimentManifest:
         if dim < 1:
             raise ValidationError(f"manifest field 'modalities[{i}].dim' must be >= 1, got {dim}")
         modalities.append(ModalitySpec(
-            name=str(entry["name"]),
-            path=str(entry["path"]),
+            name=_expect(entry["name"], str, f"modalities[{i}].name", "a string"),
+            path=_expect(entry["path"], str, f"modalities[{i}].path", "a string"),
             dim=dim,
             normalize=_expect(entry.get("normalize", False), bool, f"modalities[{i}].normalize", "true or false"),
         ))
 
-    fusion = _expect(doc.get("fusion") or {}, dict, "fusion", "an object")
+    fusion = _known(_expect(doc.get("fusion") or {}, dict, "fusion", "an object"), ("strategy",), "fusion.")
     bgmm = _expect(doc.get("bgmm") or {}, dict, "bgmm", "an object")
     seeds = _expect(doc["seeds"], list, "seeds", "a list of integers")
     return ExperimentManifest(
@@ -228,7 +239,7 @@ def parse_manifest(text: str) -> ExperimentManifest:
         fusion_strategy=fusion.get("strategy", "concat"),
         bgmm_config=BgmmConfig.from_dict(bgmm),
         seeds=tuple(_as_int(s, f"seeds[{i}]") for i, s in enumerate(seeds)),
-        output_path=str(doc["output"]),
+        output_path=_expect(doc["output"], str, "output", "a string"),
         use_class_priors=_expect(doc.get("use_class_priors", False), bool, "use_class_priors", "true or false"),
     )
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
@@ -239,11 +239,18 @@ def _logsumexp_rows():
 class TestLogsumexp:
     @settings(max_examples=300, deadline=None)
     @given(_logsumexp_rows())
-    def test_bit_equal_to_scipy(self, rows):
+    @example([[np.inf, 0.0], [np.inf, -np.inf], [np.inf, np.nan], [-np.inf, -np.inf]])
+    def test_matches_scipy(self, rows):
+        # non-finite results exactly; finite ones within 4 ulps of max(|ref|, 1)
         a = np.array(rows, dtype=np.float64)
         with np.errstate(all="ignore"):  # as its callers hold it
             got = bgmm._logsumexp(a)
-        assert np.array_equal(got, logsumexp(a, axis=1), equal_nan=True)
+            ref = logsumexp(a, axis=1)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+        tol = 4 * np.spacing(np.maximum(np.abs(ref[finite]), 1.0))
+        assert np.all(np.abs(got[finite] - ref[finite]) <= tol)
 
 
 # The per-component full-covariance iteration as it was before the batched
@@ -458,6 +465,18 @@ class TestSingleFactorAlgebra:
         assert np.linalg.eigvalsh(expected).min() > BgmmConfig().variance_floor  # floor unused
         for k in range(mix.n_components):
             _assert_close(mix.covariances[k], expected[k], k)
+
+    def test_floored_plug_in_equals_per_component_eigh(self):
+        _, _, state, pri = _fitted_full_state()
+        keep = state.expected_weights() >= BgmmConfig().prune_threshold
+        sigma = state.w_inv[keep] / state.dof[keep][:, None, None]
+        # a floor between the eigenvalues raises some of them only
+        floor = float(np.median(np.linalg.eigvalsh(sigma)))
+        config = BgmmConfig(max_components=4, covariance_type="full", variance_floor=floor)
+        got = bgmm._plug_in(state, config, pri, seed=0, restart=0).covariances
+        for k in range(len(sigma)):
+            vals, vecs = eigh(sigma[k])
+            _assert_close(got[k], vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T, k)
 
     def test_e_step_equals_explicit_quadratic_form(self):
         X, _, state, pri = _fitted_full_state()

@@ -70,6 +70,14 @@ MALFORMED_MANIFESTS = {
     "modalities[0].dim": lambda m: m["modalities"][0].__setitem__("dim", 0),
     # a repeated task name wrote two columns under one name in `report`
     "task name": lambda m: m["tasks"][1].__setitem__("name", m["tasks"][0]["name"]),
+    # string fields were coerced with str(): "output": null wrote None_seed1.json
+    "tasks[0].name": lambda m: m["tasks"][0].__setitem__("name", 3),
+    "modalities[0].name": lambda m: m["modalities"][0].__setitem__("name", 5),
+    "modalities[0].path": lambda m: m["modalities"][0].__setitem__("path", 5),
+    "output": lambda m: m.__setitem__("output", None),
+    # unknown keys were ignored, so a misspelt setting ran with its default
+    "bgm": lambda m: m.__setitem__("bgm", {"max_components": 3}),
+    "normalise": lambda m: m["modalities"][0].__setitem__("normalise", False),
 }
 
 
@@ -134,14 +142,16 @@ class TestRun:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("field", list(MALFORMED_MANIFESTS))
-    def test_malformed_manifest_field_exits_2(self, synth_dir, tmp_path, capsys, field):
+    def test_malformed_manifest_field_exits_2(self, synth_dir, tmp_path, capsys, monkeypatch, field):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
         MALFORMED_MANIFESTS[field](manifest)
         bad = tmp_path / "bad_manifest.json"
         bad.write_text(json.dumps(manifest))
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "--manifest", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        assert not list(tmp_path.glob("None_*.json"))
 
     def test_duplicate_modality_name_exits_2(self, synth_dir, tmp_path, capsys):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
