@@ -160,9 +160,14 @@ def cmd_oracle(args) -> int:
 def cmd_report(args) -> int:
     if not args.results:
         raise ValidationError("at least one results file is required")
+    stems = [Path(p).stem for p in args.results]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            # the stem names each run's CSVs and its per-class column
+            raise ValidationError(f"two results files share the stem {stem!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    loaded = [(Path(p).stem, load_run_result(p)) for p in args.results]
+    loaded = [(stem, load_run_result(p)) for stem, p in zip(stems, args.results)]
 
     for stem, result in loaded:
         t = result.matrix.n_tasks

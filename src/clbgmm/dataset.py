@@ -230,8 +230,8 @@ def parse_manifest(text: str) -> ExperimentManifest:
             normalize=_expect(entry.get("normalize", False), bool, f"modalities[{i}].normalize", "true or false"),
         ))
 
-    fusion = _known(_expect(doc.get("fusion") or {}, dict, "fusion", "an object"), ("strategy",), "fusion.")
-    bgmm = _expect(doc.get("bgmm") or {}, dict, "bgmm", "an object")
+    fusion = _known(_expect(doc.get("fusion", {}), dict, "fusion", "an object"), ("strategy",), "fusion.")
+    bgmm = _expect(doc.get("bgmm", {}), dict, "bgmm", "an object")
     seeds = _expect(doc["seeds"], list, "seeds", "a list of integers")
     return ExperimentManifest(
         tasks=tuple(tasks),
@@ -322,28 +322,19 @@ def _parse_rows(path: Path, dtype: np.dtype) -> np.ndarray:
                 raise ValidationError(
                     f"{path} line {line_no}: {len(record) - 3} feature values, expected {expected_dim}"
                 )
-            try:
-                vector = [float(v) for v in record[3:]]
-            except ValueError:
-                bad = next(i for i, v in enumerate(record[3:]) if not _is_number(v))
-                raise ValidationError(
-                    f"{path} line {line_no}, column f_{bad}: non-numeric value {record[3 + bad]!r}"
-                ) from None
-            bad = next((i for i, v in enumerate(vector) if not math.isfinite(v)), None)
-            if bad is not None:
-                raise ValidationError(
-                    f"{path} line {line_no}, column f_{bad}: non-finite value {record[3 + bad]!r}"
-                )
+            vector = []
+            for i, cell in enumerate(record[3:]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path} line {line_no}, column f_{i}: non-numeric value {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"{path} line {line_no}, column f_{i}: non-finite value {cell!r}")
+                vector.append(value)
             records.append((record[0], record[1], record[2], vector))
     return np.array(records, dtype=dtype)
-
-
-def _is_number(value: str) -> bool:
-    try:
-        float(value)
-        return True
-    except ValueError:
-        return False
 
 
 def write_feature_table(table: FeatureTable, path) -> None:

@@ -35,8 +35,8 @@ from .metrics import AccuracyMatrix, MetricsReport, compute_report
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
-    # per k: list of (sample_id, truth, predicted); a result file stores only
-    # the final row (k = T), so a result loaded from one holds that row alone
+    # one row, the final one (k = T): (sample_id, truth, predicted) for every
+    # test sample of tasks 1..T; an old file's earlier rows are dropped on load
     per_task_predictions: list
     per_task_test_sizes: list
     joint_reference_accuracies: list | None
@@ -60,14 +60,13 @@ class RunResult:
 
     @staticmethod
     def from_dict(d: dict) -> "RunResult":
-        rows = [[(sid, truth, pred) for sid, truth, pred in row]
-                for row in d["per_task_predictions"]]
+        rows = d["per_task_predictions"]
         sizes = list(d["per_task_test_sizes"])
         if not rows or len(rows[-1]) != sum(sizes):
             raise ValueError(f"the final prediction row needs {sum(sizes)} entries")
         return RunResult(
             matrix=AccuracyMatrix.from_rows(d["accuracy_matrix"], d["task_names"]),
-            per_task_predictions=rows,
+            per_task_predictions=[[(sid, truth, pred) for sid, truth, pred in rows[-1]]],
             per_task_test_sizes=sizes,
             joint_reference_accuracies=d.get("joint_reference"),
             manifest_echo=dict(d["config"]),
@@ -130,30 +129,27 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
     # train data is released per task
     test_sets = []
     rows = []
-    predictions = []
     for k, batch in enumerate(batches, start=1):
         train_task(ensemble, batch, manifest.bgmm_config, seed)
         test_sets.append((*_fused_test_set(fusion, batch), []))
         batches[k - 1] = None  # release training data: exemplar-free by construction
 
-        row = []
-        row_preds = []
-        for ids, labels, matrix, columns in test_sets:
-            preds = predict_batch(ensemble, matrix, columns)
-            row.append(sum(p == t for p, t in zip(preds, labels)) / len(labels))
-            row_preds.extend(zip(ids, labels, preds))
-        rows.append(row)
-        predictions.append(row_preds)
+        preds = [predict_batch(ensemble, matrix, columns) for _, _, matrix, columns in test_sets]
+        rows.append([sum(p == t for p, t in zip(task_preds, labels)) / len(labels)
+                     for task_preds, (_, labels, _, _) in zip(preds, test_sets)])
 
     task_names = tuple(t.name for t in manifest.tasks)
     acc_matrix = AccuracyMatrix.from_rows(rows, task_names)
 
     # the joint model for tasks 1..k is the continual model after task k
     joint_refs = [row[-1] for row in rows] if compute_joint_reference else None
+    # only the final row of predictions is kept: it is all a result file stores
+    final = [triple for task_preds, (ids, labels, _, _) in zip(preds, test_sets)
+             for triple in zip(ids, labels, task_preds)]
 
     return RunResult(
         matrix=acc_matrix,
-        per_task_predictions=predictions,
+        per_task_predictions=[final],
         per_task_test_sizes=[len(labels) for _, labels, _, _ in test_sets],
         joint_reference_accuracies=joint_refs,
         manifest_echo=manifest_to_dict(manifest),
@@ -221,39 +217,25 @@ def aggregate(results) -> AggregateResult:
     """Per-metric mean and sample standard deviation across seeds."""
     if not results:
         raise ValidationError("no results to aggregate")
-    reports = [r.metrics() for r in results]
+    reports = [r.metrics().to_dict() for r in results]
     t = results[0].matrix.n_tasks
 
     def stats(values):
+        if any(v is None for v in values):
+            return None, None
         arr = np.asarray(values, dtype=np.float64)
-        std = float(arr.std(ddof=1)) if arr.shape[0] > 1 else 0.0
-        return float(arr.mean()), std
+        return float(arr.mean()), float(arr.std(ddof=1)) if len(values) > 1 else 0.0
 
     means: dict = {}
     stds: dict = {}
-    for name, extract in (
-        ("AA", lambda rep, k: rep.aa[k]),
-        ("AIA", lambda rep, k: rep.aia[k]),
-        ("FM", lambda rep, k: rep.fm[k]),
-        ("IM", lambda rep, k: rep.im[k] if rep.im is not None else None),
-    ):
-        mean_series, std_series = [], []
-        for k in range(t):
-            values = [extract(rep, k) for rep in reports]
-            if any(v is None for v in values):
-                mean_series.append(None)
-                std_series.append(None)
-            else:
-                m, s = stats(values)
-                mean_series.append(m)
-                std_series.append(s)
-        means[name] = mean_series
-        stds[name] = std_series
-    for name, attr in (("final_macro_accuracy", "final_macro_accuracy"),
-                       ("final_micro_accuracy", "final_micro_accuracy")):
-        m, s = stats([getattr(rep, attr) for rep in reports])
-        means[name] = m
-        stds[name] = s
+    for name, value in reports[0].items():
+        if isinstance(value, float):
+            means[name], stds[name] = stats([rep[name] for rep in reports])
+        else:  # a per-k series; IM is None without a joint reference
+            series = [stats([None if rep[name] is None else rep[name][k] for rep in reports])
+                      for k in range(t)]
+            means[name] = [m for m, _ in series]
+            stds[name] = [s for _, s in series]
     return AggregateResult(seeds=[r.seed for r in results],
                            metric_means=means, metric_stds=stds)
 

@@ -9,7 +9,8 @@ import pytest
 
 import clbgmm
 from clbgmm.cli import main
-from clbgmm.dataset import load_feature_table, parse_manifest
+from clbgmm.dataset import build_task_sequence, load_feature_table, parse_manifest
+from clbgmm.ensemble import ClassConditionalEnsemble, predict_batch
 from clbgmm.protocol import load_run_result, run_continual, save_run_result
 
 
@@ -55,7 +56,8 @@ class TestSynth:
         assert len(classes) == 22
 
 
-# field named in the error -> a change that gives it the wrong shape
+# field named in the error (the id up to any "=") -> a change that gives it
+# the wrong shape
 MALFORMED_MANIFESTS = {
     "seeds": lambda m: m.__setitem__("seeds", ["x"]),
     "dim": lambda m: m["modalities"][0].__setitem__("dim", "x"),
@@ -78,6 +80,12 @@ MALFORMED_MANIFESTS = {
     # unknown keys were ignored, so a misspelt setting ran with its default
     "bgm": lambda m: m.__setitem__("bgm", {"max_components": 3}),
     "normalise": lambda m: m["modalities"][0].__setitem__("normalise", False),
+    # a falsy table was taken as absent and ran with the defaults
+    "bgmm=0": lambda m: m.__setitem__("bgmm", 0),
+    "bgmm=[]": lambda m: m.__setitem__("bgmm", []),
+    "bgmm=null": lambda m: m.__setitem__("bgmm", None),
+    "fusion=''": lambda m: m.__setitem__("fusion", ""),
+    "fusion=null": lambda m: m.__setitem__("fusion", None),
 }
 
 
@@ -150,7 +158,7 @@ class TestRun:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--manifest", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
+        assert err.startswith("error: ") and field.split("=")[0] in err
         assert not list(tmp_path.glob("None_*.json"))
 
     def test_duplicate_modality_name_exits_2(self, synth_dir, tmp_path, capsys):
@@ -332,6 +340,17 @@ class TestReport:
         header = (out / "per_class_correct.csv").read_text().splitlines()[0]
         assert "deep_minus_au" in header
 
+    def test_repeated_stem_exits_2(self, results_file, tmp_path, capsys):
+        # the second run would overwrite the first run's CSVs and columns
+        other = tmp_path / "other" / Path(results_file).name
+        other.parent.mkdir()
+        other.write_text(Path(results_file).read_text())
+        out = tmp_path / "report"
+        assert main(["report", "--results", results_file, str(other), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{Path(results_file).stem}'" in err
+        assert not out.exists()
+
     def test_empty_results_exit_2(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "r")]) == 2
 
@@ -342,6 +361,25 @@ class TestOldLayout:
     They hold one prediction row per task k plus stored per-class counts;
     every command must read them exactly as it reads the current layout.
     """
+
+    @staticmethod
+    def old_rows(manifest, tables, result):
+        """The per-k prediction rows an old file stored. Row k is the
+        prediction of the classes of tasks 1..k on the test sets of tasks
+        1..k; each class model is the one the finished run holds."""
+        ens = result.ensemble
+        rows, tests, seen = [], [], []
+        for batch in build_task_sequence(manifest, tables):
+            seen += [c for c in ens.models if c in batch.class_set]
+            tests.append(batch.test)
+            truncated = ClassConditionalEnsemble(
+                fusion=ens.fusion, use_class_priors=ens.use_class_priors,
+                models={c: ens.models[c] for c in seen},
+                class_train_counts={c: ens.class_train_counts[c] for c in seen})
+            rows.append([[sid, truth, pred] for test in tests for sid, truth, pred in zip(
+                test.sample_ids, test.class_labels,
+                predict_batch(truncated, ens.fusion.transform(test.features)))])
+        return rows
 
     @pytest.fixture
     def layouts(self, synth_dir, tmp_path):
@@ -354,10 +392,12 @@ class TestOldLayout:
             new = tmp_path / "new" / f"run_seed{seed}.json"
             save_run_result(result, new)
             doc = json.loads(new.read_text())
-            doc["per_task_predictions"] = [[list(p) for p in row]
-                                           for row in result.per_task_predictions]
+            rows = self.old_rows(manifest, tables, result)
+            assert len(rows) == result.matrix.n_tasks > 1
+            assert [rows[-1]] == doc["per_task_predictions"]
+            doc["per_task_predictions"] = rows
             counts = {}
-            for _, truth, pred in result.per_task_predictions[-1]:
+            for _, truth, pred in rows[-1]:
                 counts[truth] = counts.get(truth, 0) + int(pred == truth)
             doc["per_class_correct"] = counts
             (tmp_path / "old" / new.name).write_text(
@@ -378,11 +418,14 @@ class TestOldLayout:
         out.update({p.name: p.read_text() for p in report.iterdir()})
         return out
 
-    def test_old_file_loads_every_row(self, layouts):
-        old, _ = layouts
+    def test_old_file_loads_final_row(self, layouts):
+        old, new = layouts
         doc = json.loads((old / "run_seed1.json").read_text())
         result = load_run_result(old / "run_seed1.json")
-        assert len(result.per_task_predictions) == result.matrix.n_tasks > 1
+        assert len(doc["per_task_predictions"]) == result.matrix.n_tasks > 1
+        assert result.per_task_predictions == [
+            [tuple(p) for p in doc["per_task_predictions"][-1]]]
+        assert result.to_dict() == load_run_result(new / "run_seed1.json").to_dict()
         assert result.per_class_correct() == doc["per_class_correct"]
 
     def test_commands_give_identical_output(self, layouts, tmp_path, capsys):

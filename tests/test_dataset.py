@@ -139,6 +139,14 @@ class TestLoadFeatureTable:
         with pytest.raises(ValidationError, match="line 2.*f_1"):
             load_feature_table(path, expected_dim=2)
 
+    def test_first_bad_cell_named_whatever_its_kind(self, tmp_path):
+        path = self.write_csv(tmp_path, [
+            "sample_id,class,split,f_0,f_1",
+            "s1,A,train,inf,oops",
+        ])
+        with pytest.raises(ValidationError, match="line 2, column f_0: non-finite value 'inf'"):
+            load_feature_table(path, expected_dim=2)
+
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_cell_rejected(self, tmp_path, split, cell):

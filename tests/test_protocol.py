@@ -137,9 +137,12 @@ class TestCachedScoring:
                 models={c: ens.models[c] for c in seen},
                 class_train_counts={c: ens.class_train_counts[c] for c in seen})
             expected = []
-            for ids, labels, matrix in test_sets[:k]:
-                expected.extend(zip(ids, labels, predict_batch(truncated, matrix)))
-            assert result.per_task_predictions[k - 1] == expected
+            for j, (ids, labels, matrix) in enumerate(test_sets[:k], start=1):
+                preds = predict_batch(truncated, matrix)
+                accuracy = sum(p == t for p, t in zip(preds, labels)) / len(labels)
+                assert result.matrix.get(k, j) == accuracy
+                expected.extend(zip(ids, labels, preds))
+        assert result.per_task_predictions == [expected]
 
 
 class TestJointReference:
@@ -257,18 +260,28 @@ class TestSerialization:
         back = load_run_result(path)
         doc = json.loads(path.read_text())
         assert "normalizer" not in doc
-        # the file holds the final prediction row only, and no per-class counts
+        # the run and its file hold the final prediction row only, and no
+        # per-class counts
         assert "per_class_correct" not in doc
-        assert len(result.per_task_predictions) == result.matrix.n_tasks > 1
-        final = [list(p) for p in result.per_task_predictions[-1]]
+        assert result.matrix.n_tasks > 1 and len(result.per_task_predictions) == 1
+        final = [list(p) for p in result.per_task_predictions[0]]
+        assert len(final) == sum(result.per_task_test_sizes)
         assert doc["per_task_predictions"] == [final]
-        assert back.per_task_predictions == [result.per_task_predictions[-1]]
+        assert back.per_task_predictions == result.per_task_predictions
         assert back.per_class_correct() == result.per_class_correct()
         assert back.ensemble.fusion.to_dict() == result.ensemble.fusion.to_dict()
         assert back.matrix.to_list() == result.matrix.to_list()
         assert back.metrics().to_dict() == result.metrics().to_dict()
         for label, mix in result.ensemble.models.items():
             assert back.ensemble.models[label].to_bytes() == mix.to_bytes()
+
+    def test_multi_task_result_equals_its_reloaded_file(self, tmp_path):
+        manifest, tables = synthetic_setup(n_basic=4, n_compound=6)
+        result = run_continual(manifest, tables, seed=3)
+        assert result.matrix.n_tasks > 1
+        path = tmp_path / "run.json"
+        save_run_result(result, path)
+        assert load_run_result(path).to_dict() == result.to_dict()
 
     def test_per_class_correct_counts_final_row(self):
         manifest, tables = synthetic_setup(n_basic=3, n_compound=2, spread=3.0)
@@ -295,3 +308,25 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             aggregate([])
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_series_and_scalars_across_seeds(self, joint):
+        manifest, tables = synthetic_setup(seeds=(1, 2, 3))
+        results, agg = multi_seed(manifest, tables, compute_joint_reference=joint)
+        reports = [r.metrics().to_dict() for r in results]
+        t = results[0].matrix.n_tasks
+        assert t > 1 and agg.seeds == [1, 2, 3]
+        assert list(agg.metric_means) == list(agg.metric_stds) == list(reports[0])
+        assert agg.metric_means["FM"][0] is None and agg.metric_stds["FM"][0] is None
+        if not joint:
+            assert agg.metric_means["IM"] == agg.metric_stds["IM"] == [None] * t
+        for name in ("AA", "AIA", "FM", "IM"):
+            assert len(agg.metric_means[name]) == len(agg.metric_stds[name]) == t
+            for k in range(1 if name == "FM" else 0, t if joint or name != "IM" else 0):
+                values = np.array([rep[name][k] for rep in reports])
+                assert agg.metric_means[name][k] == float(values.mean())
+                assert agg.metric_stds[name][k] == float(values.std(ddof=1))
+        for name in ("final_macro_accuracy", "final_micro_accuracy"):
+            values = np.array([rep[name] for rep in reports])
+            assert agg.metric_means[name] == float(values.mean())
+            assert agg.metric_stds[name] == float(values.std(ddof=1))
