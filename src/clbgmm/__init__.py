@@ -31,6 +31,7 @@ from .fusion import MinMaxNormalizer, apply_normalizer, fit_normalizer, fuse
 from .metrics import (
     AccuracyMatrix,
     MetricsReport,
+    accuracy,
     average_accuracy,
     average_incremental_accuracy,
     compute_report,

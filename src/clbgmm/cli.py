@@ -1,34 +1,44 @@
-"""Command-line entry point.
+"""Command-line entry point: a thin shell over the library.
 
 Subcommands: synth (write a seeded synthetic dataset + manifest), run
 (execute a manifest across its seeds), metrics (recompute the metric
 series from a results file), oracle (union accuracy of two runs), report
-(plot-ready CSV series). Exit codes: 0 success, 2 input/validation error,
-3 numerical failure.
+(plot-ready CSV series). The library owns every file format and setting:
+``dataset`` the manifest and CSV layouts and the synthetic generator's
+defaults, ``protocol`` the result and aggregate files, ``metrics`` the
+accuracy formula. Exit codes: 0 success, 2 input/validation error
+(including a file that is not UTF-8 text), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+from .bgmm import BgmmConfig
 from .dataset import (
+    ExperimentManifest,
+    ModalitySpec,
     SyntheticConfig,
     generate_synthetic,
     load_feature_table,
+    manifest_to_dict,
     parse_manifest,
+    read_utf8,
     write_feature_table,
 )
 from .errors import NumericalError, ValidationError
-from .metrics import relative_evolution
+from .metrics import accuracy, relative_evolution
 from .protocol import (
-    aggregate,
     load_run_result,
     multi_seed,
     oracle_union_accuracy,
+    save_aggregate,
     save_run_result,
 )
 
@@ -37,46 +47,28 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _default_manifest(out_dir: Path, dim_a: int, dim_b: int, tasks, seed: int) -> dict:
-    return {
-        "tasks": [{"name": t.name, "classes": list(t.class_labels)} for t in tasks],
-        "modalities": [
-            {"name": "mod_a", "path": str(out_dir / "mod_a.csv"), "dim": dim_a, "normalize": True},
-            {"name": "mod_b", "path": str(out_dir / "mod_b.csv"), "dim": dim_b, "normalize": False},
-        ],
-        "fusion": {"strategy": "concat"},
-        "bgmm": {"max_components": 10, "covariance_type": "diagonal"},
-        "seeds": [seed],
-        "output": str(out_dir / "results"),
-    }
-
-
 def cmd_synth(args) -> int:
-    config = SyntheticConfig(
-        n_basic_classes=args.basic,
-        n_compound_classes=args.compound,
-        dim_a=args.dim_a,
-        dim_b=args.dim_b,
-        samples_per_class_train=args.per_class_train,
-        samples_per_class_test=args.per_class_test,
-        cluster_spread=args.spread,
-        modality_bias=args.bias,
-    )
+    config = SyntheticConfig(**{f.name: getattr(args, f.name) for f in fields(SyntheticConfig)})
     table_a, table_b, tasks = generate_synthetic(config, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_feature_table(table_a, out_dir / "mod_a.csv")
-    write_feature_table(table_b, out_dir / "mod_b.csv")
-    manifest = _default_manifest(out_dir, config.dim_a, config.dim_b, tasks, args.seed)
+    modalities = []
+    for table, normalize in ((table_a, True), (table_b, False)):
+        path = out_dir / f"{table.modality_name}.csv"
+        write_feature_table(table, path)
+        modalities.append(ModalitySpec(table.modality_name, str(path), table.dim, normalize))
+    manifest = ExperimentManifest(tasks=tuple(tasks), modalities=tuple(modalities),
+                                  fusion_strategy="concat", bgmm_config=BgmmConfig(),
+                                  seeds=(args.seed,), output_path=str(out_dir / "results"))
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+        json.dumps(manifest_to_dict(manifest), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out_dir}/mod_a.csv, mod_b.csv, manifest.json "
           f"({len(tasks)} tasks, {config.n_basic_classes + config.n_compound_classes} classes)")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    manifest = parse_manifest(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = parse_manifest(read_utf8(args.manifest))
     tables = [
         load_feature_table(spec.path, spec.dim, spec.name)
         for spec in manifest.modalities
@@ -86,8 +78,7 @@ def cmd_run(args) -> int:
     out_base.parent.mkdir(parents=True, exist_ok=True)
     for result in results:
         save_run_result(result, f"{out_base}_seed{result.seed}.json")
-    Path(f"{out_base}_aggregate.json").write_text(
-        json.dumps(agg.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    save_aggregate(agg, f"{out_base}_aggregate.json")
     for result in results:
         final_aa = result.metrics().aa[-1]
         print(f"seed {result.seed}: final AA = {final_aa:.4f}")
@@ -130,30 +121,17 @@ def cmd_oracle(args) -> int:
     if {sid for sid, _, _ in final_a} != set(preds_b):
         raise ValidationError("results cover different test sample ids")
 
-    tasks = result_a.matrix.task_names
-    # group final-row predictions by owning task, in row order
+    # the final row holds each task's test rows in task order
     sizes = result_a.per_task_test_sizes
-    offset = 0
+    chunks = [(name, final_a[end - size:end]) for name, size, end
+              in zip(result_a.matrix.task_names, sizes, itertools.accumulate(sizes))]
     print("task,acc_a,acc_b,union")
-    all_a, all_b, all_t = [], [], []
-    for name, size in zip(tasks, sizes):
-        chunk = final_a[offset:offset + size]
-        offset += size
+    for name, chunk in chunks + [("overall", final_a)]:
         truth = [t for _, t, _ in chunk]
         pa = [p for _, _, p in chunk]
         pb = [preds_b[sid] for sid, _, _ in chunk]
-        acc_a = sum(p == t for p, t in zip(pa, truth)) / size
-        acc_b = sum(p == t for p, t in zip(pb, truth)) / size
-        union = oracle_union_accuracy(pa, pb, truth)
-        print(f"{name},{acc_a:.6f},{acc_b:.6f},{union:.6f}")
-        all_a.extend(pa)
-        all_b.extend(pb)
-        all_t.extend(truth)
-    n = len(all_t)
-    overall = oracle_union_accuracy(all_a, all_b, all_t)
-    acc_a = sum(p == t for p, t in zip(all_a, all_t)) / n
-    acc_b = sum(p == t for p, t in zip(all_b, all_t)) / n
-    print(f"overall,{acc_a:.6f},{acc_b:.6f},{overall:.6f}")
+        print(f"{name},{accuracy(pa, truth):.6f},{accuracy(pb, truth):.6f},"
+              f"{oracle_union_accuracy(pa, pb, truth):.6f}")
     return EXIT_OK
 
 
@@ -222,14 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic two-modality dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--basic", type=int, default=4)
-    p.add_argument("--compound", type=int, default=4)
-    p.add_argument("--dim-a", type=int, default=2, dest="dim_a")
-    p.add_argument("--dim-b", type=int, default=2, dest="dim_b")
-    p.add_argument("--per-class-train", type=int, default=30, dest="per_class_train")
-    p.add_argument("--per-class-test", type=int, default=10, dest="per_class_test")
-    p.add_argument("--spread", type=float, default=1.0)
-    p.add_argument("--bias", type=float, default=1.0)
+    # each flag sets the SyntheticConfig field it names; the defaults are the
+    # dataclass's, except the class counts, which have none there
+    p.add_argument("--basic", type=int, default=4, dest="n_basic_classes")
+    p.add_argument("--compound", type=int, default=4, dest="n_compound_classes")
+    for flag, field, kind in (("--dim-a", "dim_a", int), ("--dim-b", "dim_b", int),
+                              ("--per-class-train", "samples_per_class_train", int),
+                              ("--per-class-test", "samples_per_class_test", int),
+                              ("--spread", "cluster_spread", float),
+                              ("--bias", "modality_bias", float)):
+        p.add_argument(flag, type=kind, default=getattr(SyntheticConfig, field), dest=field)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,6 +162,18 @@ class SyntheticConfig:
             )
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; an undecodable byte raises ValidationError
+    naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path} line {line}: not UTF-8 text ({exc.reason} 0x{data[exc.start]:02x})") from None
+
+
 # ---------------------------------------------------------------------------
 # manifest parsing
 # ---------------------------------------------------------------------------
@@ -274,8 +287,7 @@ def load_feature_table(path, expected_dim: int, modality_name: str | None = None
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"feature file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with closing(_records(path)) as reader:
         header = next(reader, None)
         first_row = next(reader, None)
     if header is None:
@@ -308,12 +320,21 @@ def load_feature_table(path, expected_dim: int, modality_name: str | None = None
     )
 
 
+def _records(path: Path):
+    """The CSV records of a UTF-8 file."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        try:
+            yield from csv.reader(handle)
+        except UnicodeDecodeError:
+            read_utf8(path)  # raises the error naming the file and line
+            raise
+
+
 def _parse_rows(path: Path, dtype: np.dtype) -> np.ndarray:
     """Row-by-row parse with float(); raises the file/line/column error."""
     expected_dim = dtype["values"].shape[0]
     records = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with closing(_records(path)) as reader:
         next(reader)
         for line_no, record in enumerate(reader, start=2):
             if not record:

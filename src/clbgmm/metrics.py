@@ -72,6 +72,13 @@ class MetricsReport:
         }
 
 
+def accuracy(preds, truth) -> float:
+    """Fraction of positions where the prediction equals the truth."""
+    if len(truth) == 0 or len(preds) != len(truth):
+        raise ValidationError("need one prediction per truth value, and at least one value")
+    return sum(p == t for p, t in zip(preds, truth)) / len(truth)
+
+
 def average_accuracy(matrix: AccuracyMatrix, k: int) -> float:
     """AA_k: mean accuracy over tasks 1..k after training task k."""
     if not (1 <= k <= matrix.n_tasks):

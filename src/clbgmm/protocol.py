@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataSplit, ExperimentManifest, TaskBatch, build_task_sequence, manifest_to_dict
+from .dataset import (DataSplit, ExperimentManifest, TaskBatch, build_task_sequence,
+                      manifest_to_dict, read_utf8)
 from .ensemble import (
     ClassConditionalEnsemble,
     FusionPipeline,
@@ -29,7 +30,7 @@ from .ensemble import (
 )
 from .errors import ValidationError
 from .fusion import fit_normalizer
-from .metrics import AccuracyMatrix, MetricsReport, compute_report
+from .metrics import AccuracyMatrix, MetricsReport, accuracy, compute_report
 
 
 @dataclass
@@ -135,7 +136,7 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
         batches[k - 1] = None  # release training data: exemplar-free by construction
 
         preds = [predict_batch(ensemble, matrix, columns) for _, _, matrix, columns in test_sets]
-        rows.append([sum(p == t for p, t in zip(task_preds, labels)) / len(labels)
+        rows.append([accuracy(task_preds, labels)
                      for task_preds, (_, labels, _, _) in zip(preds, test_sets)])
 
     task_names = tuple(t.name for t in manifest.tasks)
@@ -190,8 +191,7 @@ def train_joint_reference(manifest: ExperimentManifest, tables, k: int, seed: in
     train_task(ensemble, joined, manifest.bgmm_config, seed)
 
     _, labels, matrix = _fused_test_set(fusion, batches[k - 1])
-    preds = predict_batch(ensemble, matrix)
-    return sum(p == t for p, t in zip(preds, labels)) / len(labels)
+    return accuracy(predict_batch(ensemble, matrix), labels)
 
 
 def oracle_union_accuracy(preds_a, preds_b, truth) -> float:
@@ -244,11 +244,17 @@ def aggregate(results) -> AggregateResult:
 # results file I/O
 # ---------------------------------------------------------------------------
 
+def _write_json(doc: dict, path) -> None:
+    """The one encoding of every results file: sorted keys, indent 1, final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+
+
 def save_run_result(result: RunResult, path) -> None:
-    Path(path).write_text(
-        json.dumps(result.to_dict(), sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(result.to_dict(), path)
+
+
+def save_aggregate(agg: AggregateResult, path) -> None:
+    _write_json(agg.to_dict(), path)
 
 
 def load_run_result(path) -> RunResult:
@@ -256,14 +262,14 @@ def load_run_result(path) -> RunResult:
     if not path.exists():
         raise ValidationError(f"results file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed results file {path}: {exc.msg}") from exc
     try:
         return RunResult.from_dict(doc)
     except KeyError as exc:
         raise ValidationError(f"malformed results file {path}: missing {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:  # e.g. a list where an object belongs
         raise ValidationError(f"malformed results file {path}: wrong type: {exc}") from exc
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed results file {path}: {exc}") from exc

@@ -9,9 +9,15 @@ import pytest
 
 import clbgmm
 from clbgmm.cli import main
-from clbgmm.dataset import build_task_sequence, load_feature_table, parse_manifest
+from clbgmm.dataset import build_task_sequence, load_feature_table, manifest_to_dict, parse_manifest
 from clbgmm.ensemble import ClassConditionalEnsemble, predict_batch
-from clbgmm.protocol import load_run_result, run_continual, save_run_result
+from clbgmm.protocol import (
+    load_run_result,
+    multi_seed,
+    run_continual,
+    save_aggregate,
+    save_run_result,
+)
 
 
 def read(path):
@@ -54,6 +60,10 @@ class TestSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         classes = [c for t in manifest["tasks"] for c in t["classes"]]
         assert len(classes) == 22
+
+    def test_manifest_is_a_fixed_point_of_the_parser(self, synth_dir):
+        text = (synth_dir / "manifest.json").read_text()
+        assert manifest_to_dict(parse_manifest(text)) == json.loads(text)
 
 
 # field named in the error (the id up to any "=") -> a change that gives it
@@ -183,6 +193,39 @@ class TestRun:
         assert err.startswith("error: ") and "seed 1" in err
         assert not list(tmp_path.glob("res_*.json"))
 
+    def test_non_utf8_manifest_exits_2(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_bytes(read(synth_dir / "manifest.json").replace(b'"seeds"', b'"seeds\xff"'))
+        assert main(["run", "--manifest", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} line ") and "not UTF-8" in err
+
+    def test_non_utf8_feature_row_exits_2(self, tmp_path, capsys):
+        manifest = self.write_dataset(tmp_path, [
+            "a1,A,train,0.0", "a2,A,train,0.5", "a3,A,test,0.2",
+            "b1,B,train,5.0", "b\xff2,B,train,5.5", "b3,B,test,6.0",
+        ])
+        csv_path = tmp_path / "m.csv"
+        csv_path.write_bytes(csv_path.read_text().encode("latin-1"))
+        assert main(["run", "--manifest", manifest]) == 2
+        assert f"error: {csv_path} line 6: not UTF-8" in capsys.readouterr().err
+
+    def test_library_writes_the_same_bytes_as_the_cli(self, synth_dir, tmp_path):
+        doc = json.loads((synth_dir / "manifest.json").read_text())
+        doc["seeds"] = [1, 2]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        assert main(["run", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "cli")]) == 0
+
+        manifest = parse_manifest((tmp_path / "manifest.json").read_text())
+        tables = [load_feature_table(s.path, s.dim, s.name) for s in manifest.modalities]
+        results, agg = multi_seed(manifest, tables)
+        for result in results:
+            save_run_result(result, tmp_path / f"lib_seed{result.seed}.json")
+        save_aggregate(agg, tmp_path / "lib_aggregate.json")
+        for name in ("seed1", "seed2", "aggregate"):
+            assert read(tmp_path / f"lib_{name}.json") == read(tmp_path / f"cli_{name}.json")
+
     def test_byte_identical_reruns(self, synth_dir, tmp_path):
         out1 = tmp_path / "r1" / "res"
         out2 = tmp_path / "r2" / "res"
@@ -221,6 +264,14 @@ def results_file(synth_dir):
     return str(synth_dir / "results") + "_seed1.json"
 
 
+# a change that gives a results-file field the wrong shape
+MALFORMED_RESULTS = {
+    # a normalizer table that is not an object ended in an AttributeError
+    "normalizers=[]": lambda doc: doc["ensembles"]["fusion"].__setitem__("normalizers", []),
+    "normalizers='x'": lambda doc: doc["ensembles"]["fusion"].__setitem__("normalizers", "x"),
+}
+
+
 class TestMetrics:
     def test_csv_header_and_rows(self, results_file, capsys):
         assert main(["metrics", "--results", results_file]) == 0
@@ -239,6 +290,17 @@ class TestMetrics:
         assert main(["metrics", "--results", results_file, "--out", str(a)]) == 0
         assert main(["metrics", "--results", results_file, "--out", str(b)]) == 0
         assert read(a) == read(b)
+
+    @pytest.mark.parametrize("command", ["metrics", "oracle", "report"])
+    def test_non_utf8_results_exit_2(self, results_file, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(read(results_file).replace(b'"seed"', b'"se\xffed"'))
+        args = {"metrics": ["metrics", "--results", str(bad)],
+                "oracle": ["oracle", "--results-a", results_file, "--results-b", str(bad)],
+                "report": ["report", "--results", str(bad), "--out", str(tmp_path / "r")]}
+        assert main(args[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} line ") and "not UTF-8" in err
 
     def test_malformed_results_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -283,6 +345,12 @@ class TestMetrics:
         assert main(args) == 2
         assert f"malformed results file {bad}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", list(MALFORMED_RESULTS))
+    def test_malformed_results_field_exits_2(self, results_file, tmp_path, capsys, field):
+        bad = self.rewrite(results_file, tmp_path, MALFORMED_RESULTS[field])
+        assert main(["metrics", "--results", bad]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed results file {bad}: ")
+
     def test_non_numeric_accuracy_exits_2(self, results_file, tmp_path, capsys):
         bad = self.rewrite(results_file, tmp_path,
                            lambda doc: doc["accuracy_matrix"][0].__setitem__(0, "high"))
@@ -310,6 +378,34 @@ class TestOracle:
         overall = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert overall[0] == "overall"
         assert overall[1] == overall[3]  # union == individual accuracy
+
+    def test_lines_match_final_rows_of_two_runs(self, synth_dir, tmp_path, capsys):
+        files = []
+        for name, seed, ct in (("a", 1, "diagonal"), ("b", 2, "spherical")):
+            manifest = json.loads((synth_dir / "manifest.json").read_text())
+            manifest.update(seeds=[seed], bgmm={"covariance_type": ct, "max_components": 2})
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(manifest))
+            assert main(["run", "--manifest", str(path), "--out", str(tmp_path / name)]) == 0
+            files.append(tmp_path / f"{name}_seed{seed}.json")
+        capsys.readouterr()
+        assert main(["oracle", "--results-a", str(files[0]), "--results-b", str(files[1])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        # independent computation: each row's task from the manifest's class lists
+        doc_a, doc_b = (json.loads(f.read_text()) for f in files)
+        task_of = {c: t["name"] for t in doc_a["config"]["tasks"] for c in t["classes"]}
+        pred_b = {sid: pred for sid, _, pred in doc_b["per_task_predictions"][-1]}
+        hits = {name: [] for name in doc_a["task_names"] + ["overall"]}
+        for sid, truth, pred in doc_a["per_task_predictions"][-1]:
+            row = (pred == truth, pred_b[sid] == truth, truth in (pred, pred_b[sid]))
+            hits[task_of[truth]].append(row)
+            hits["overall"].append(row)
+        assert any(a != b for a, b, _ in hits["overall"])  # the runs differ
+        expected = ["task,acc_a,acc_b,union"] + [
+            ",".join([key] + [f"{sum(col) / len(col):.6f}" for col in zip(*rows)])
+            for key, rows in hits.items()]
+        assert lines == expected
 
     def test_mismatched_sample_ids_exit_2(self, results_file, tmp_path):
         doc = json.loads(Path(results_file).read_text())

@@ -147,6 +147,19 @@ class TestLoadFeatureTable:
         with pytest.raises(ValidationError, match="line 2, column f_0: non-finite value 'inf'"):
             load_feature_table(path, expected_dim=2)
 
+    @pytest.mark.parametrize("bad_line", [2, 3000])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, bad_line):
+        # line 3000 lies past the first read, so the numpy parse and then the
+        # row-by-row parser meet the byte, not the header read
+        lines = ["sample_id,class,split,f_0"] + [f"s{i},A,train,{i}.5" for i in range(2, 4000)]
+        path = tmp_path / "feat.csv"
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        at = data.index(f"\ns{bad_line},".encode()) + 2
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(ValidationError) as info:
+            load_feature_table(path, expected_dim=1)
+        assert str(info.value).startswith(f"{path} line {bad_line}: not UTF-8 text")
+
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_cell_rejected(self, tmp_path, split, cell):

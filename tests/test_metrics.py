@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from clbgmm.errors import ValidationError
 from clbgmm.metrics import (
     AccuracyMatrix,
+    accuracy,
     average_accuracy,
     average_incremental_accuracy,
     compute_report,
@@ -44,6 +45,17 @@ class TestAccuracyMatrix:
         m = matrix_from([[0.5], [0.5, 0.5]])
         with pytest.raises(ValidationError):
             m.get(1, 2)
+
+
+class TestAccuracy:
+    def test_fraction_of_equal_pairs(self):
+        assert accuracy(["a", "b", "b"], ["a", "b", "c"]) == 2 / 3
+        assert accuracy(np.array(["x"], dtype=object), np.array(["x"], dtype=object)) == 1.0
+
+    @pytest.mark.parametrize("preds,truth", [([], []), (["a"], ["a", "b"]), (["a", "b"], ["a"])])
+    def test_rejects_empty_or_unequal_lengths(self, preds, truth):
+        with pytest.raises(ValidationError, match="one prediction per truth value"):
+            accuracy(preds, truth)
 
 
 class TestAverageAccuracy:
