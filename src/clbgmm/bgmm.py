@@ -3,8 +3,13 @@
 Conjugate model: Dirichlet prior on mixing weights, Gaussian prior on
 component means, Gamma priors on precisions (spherical/diagonal) or a
 Wishart prior (full). Fitting alternates closed-form posterior updates
-with a log-sum-exp responsibility step, tracks the evidence lower bound,
-and prunes low-weight components once after convergence.
+with a log-sum-exp responsibility step and tracks the evidence lower bound.
+Every few steps, and at convergence, a merge move tries to fold components
+that share one cluster into one (Ueda et al., "SMEM Algorithm for Mixture
+Models", 2000; Hughes and Sudderth, "Memoized Online Variational Inference
+for Dirichlet Process Mixture Models", 2013) and keeps the merge only if it
+raises the bound. Components whose expected weight ends below
+prune_threshold are dropped once, from the final posterior.
 
 Point estimates (posterior means) populate the returned FittedMixture;
 scoring is a plain mixture density over those plug-in parameters.
@@ -27,7 +32,7 @@ LeVeque, 1983). The plug-in adds the data mean back to the means.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
@@ -38,6 +43,12 @@ from .errors import NumericalError, ValidationError
 COVARIANCE_TYPES = ("spherical", "diagonal", "full")
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+# merge moves (see _fit_once): plain steps between moves, the most-overlapping
+# pairs tried per move, and the least overlap a pair needs to be tried
+MERGE_PERIOD = 3
+MERGE_PAIRS = 3
+MERGE_MIN_OVERLAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -159,7 +170,8 @@ class VariationalState:
     hold the Gamma precision posteriors (rate (J, 1) spherical, one precision
     per component; (J, D) diagonal); dof (J,) and w_inv (J, D, D), the
     inverse scale matrix, the Wishart posterior of the full structure.
-    Unused fields stay None.
+    Unused fields stay None. elbo_trace holds one bound per plain step or
+    accepted merge move, and merges counts the accepted moves.
     """
 
     covariance_type: str
@@ -172,6 +184,7 @@ class VariationalState:
     dof: np.ndarray | None = None
     w_inv: np.ndarray | None = None
     elbo_trace: list = field(default_factory=list)
+    merges: int = 0
 
     def expected_weights(self) -> np.ndarray:
         return self.alpha / self.alpha.sum()
@@ -302,6 +315,16 @@ def _init_responsibilities(X: np.ndarray, n_components: int,
     return resp
 
 
+def _initial_state(X: np.ndarray, config: BgmmConfig,
+                   rng: np.random.Generator) -> VariationalState:
+    j = config.max_components
+    return VariationalState(
+        covariance_type=config.covariance_type,
+        responsibilities=_init_responsibilities(X, j, rng),
+        alpha=np.zeros(j), beta=np.zeros(j), means=np.zeros((j, X.shape[1])),
+    )
+
+
 def _m_step(X: np.ndarray, x2: np.ndarray, resp: np.ndarray, pri: _Priors,
             state: VariationalState) -> None:
     """Posterior updates from the responsibilities, on rows centred on the
@@ -385,30 +408,96 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
     return elog_pi[None, :] + log_dens, float(kl)
 
 
+def _step(X: np.ndarray, x2: np.ndarray, pri: _Priors, state: VariationalState) -> float:
+    """One plain step from state.responsibilities: M-step, E-step and new
+    responsibilities, in place; returns the bound, which must be finite."""
+    _m_step(X, x2, state.responsibilities, pri, state)
+    log_dens, kl = _e_step(X, x2, pri, state)
+    log_norm = _logsumexp(log_dens)
+    state.responsibilities = np.exp(log_dens - log_norm[:, None])
+    value = float(log_norm.sum()) - kl
+    if not np.isfinite(value):
+        raise NumericalError(
+            f"evidence lower bound is not finite at iteration {len(state.elbo_trace) + 1}")
+    return value
+
+
+def _merge_candidates(state: VariationalState, config: BgmmConfig, collapse: bool):
+    """Merged responsibilities to try, as (is_collapse, resp) pairs: every
+    live component collapsed into the first, then the MERGE_PAIRS live pairs
+    of highest responsibility overlap at or above MERGE_MIN_OVERLAP, with
+    column b added to column a < b and zeroed. A live component has expected
+    weight >= prune_threshold; the stable sort ranks tied pairs by index."""
+    resp = state.responsibilities
+    live = np.flatnonzero(state.expected_weights() >= config.prune_threshold)
+    if live.size < 2:
+        return []
+    cols = resp[:, live]
+    out = []
+    if collapse:
+        merged = resp.copy()
+        merged[:, live[0]] = cols.sum(axis=1)
+        merged[:, live[1:]] = 0.0
+        out.append((True, merged))
+        if live.size == 2:   # the only pair is the collapse
+            return out
+    gram = cols.T @ cols
+    norms = np.sqrt(np.diag(gram))
+    ia, ib = np.triu_indices(live.size, 1)
+    overlap = gram[ia, ib] / (norms[ia] * norms[ib])
+    for p in np.argsort(-overlap, kind="stable")[:MERGE_PAIRS]:
+        if not overlap[p] >= MERGE_MIN_OVERLAP:   # NaN, from an empty column, too
+            break
+        a, b = live[ia[p]], live[ib[p]]
+        merged = resp.copy()
+        merged[:, a] += merged[:, b]
+        merged[:, b] = 0.0
+        out.append((False, merged))
+    return out
+
+
 def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
               rng: np.random.Generator) -> VariationalState:
-    resp = _init_responsibilities(X, config.max_components, rng)
-    state = VariationalState(
-        covariance_type=config.covariance_type,
-        responsibilities=resp,
-        alpha=np.zeros(config.max_components),
-        beta=np.zeros(config.max_components),
-        means=np.zeros((config.max_components, X.shape[1])),
-    )
+    """Plain steps until the bound moves by less than elbo_tolerance, with a
+    merge move every MERGE_PERIOD steps and at convergence. The trace holds
+    one value per plain step or accepted merge, at most max_iterations.
+
+    A move scores each candidate by one plain step from its merged
+    responsibilities and continues from the best one if that bound is
+    strictly above the last trace value, so the trace stays monotone. The
+    arrays keep all J columns: a merged-away component keeps alpha0 in the
+    Dirichlet sums, so bounds stay comparable within the fit. The collapse
+    candidate is dropped for the rest of the fit once it fails to raise the
+    bound.
+    """
+    state = _initial_state(X, config, rng)
+    trace = state.elbo_trace
+    collapse = True
+    steps = 0
     prev = -np.inf
-    for _ in range(config.max_iterations):
-        _m_step(X, x2, state.responsibilities, pri, state)
-        log_dens, kl = _e_step(X, x2, pri, state)
-        log_norm = _logsumexp(log_dens)
-        state.responsibilities = np.exp(log_dens - log_norm[:, None])
-        value = float(log_norm.sum()) - kl
-        if not np.isfinite(value):
-            raise NumericalError(
-                f"evidence lower bound is not finite at iteration {len(state.elbo_trace) + 1}")
-        state.elbo_trace.append(value)
-        if abs(value - prev) < config.elbo_tolerance:
-            break
+    while len(trace) < config.max_iterations:
+        value = _step(X, x2, pri, state)
+        trace.append(value)
+        steps += 1
+        converged = abs(value - prev) < config.elbo_tolerance
         prev = value
+        if len(trace) < config.max_iterations and (converged or steps % MERGE_PERIOD == 0):
+            best, best_value = None, value
+            for is_collapse, merged in _merge_candidates(state, config, collapse):
+                candidate = replace(state, responsibilities=merged)
+                bound = _step(X, x2, pri, candidate)
+                if is_collapse and not bound > value:
+                    collapse = False
+                if bound > best_value:
+                    best, best_value = candidate, bound
+            if best is not None:
+                state = best
+                state.merges += 1
+                trace.append(best_value)
+                prev = best_value
+                continue
+        if converged:
+            break
     return state
 
 
@@ -447,6 +536,7 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
     meta = {
         "final_elbo": state.elbo_trace[-1],
         "iterations": len(state.elbo_trace),
+        "merges": state.merges,
         "components_pruned": n_pruned,
         "seed": seed,
         "restart": restart,

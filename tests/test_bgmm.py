@@ -150,6 +150,43 @@ class TestEffectiveComponents:
         assert mix.n_components == 2
 
 
+class TestMergeMoves:
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_one_gaussian_keeps_one_component(self, ct, d):
+        for draw in range(2):
+            X = np.random.default_rng(100 * d + draw).normal(size=(300, d))
+            mix, _ = fit(X, BgmmConfig(max_components=10, covariance_type=ct), seed=draw)
+            assert mix.n_components == 1, draw
+
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal"])
+    @pytest.mark.parametrize("d", [8, 32, 64])
+    def test_three_separated_clusters_keep_three(self, ct, d):
+        # full covariance is left out: its Wishart prior prefers one component
+        # here (see README, "Merge moves")
+        for draw in range(2):
+            rng = np.random.default_rng(7 * d + draw)
+            X = np.vstack([rng.normal(c, 1.0, (100, d)) for c in rng.normal(0.0, 10.0, (3, d))])
+            mix, _ = fit(X, BgmmConfig(max_components=10, covariance_type=ct), seed=draw)
+            assert mix.n_components == 3, draw
+
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_merged_trace_is_monotone_and_counted(self, ct):
+        X = np.random.default_rng(3).normal(size=(300, 8))
+        mix, state = fit(X, BgmmConfig(max_components=10, covariance_type=ct), seed=1)
+        assert mix.metadata["merges"] == state.merges >= 1
+        assert mix.metadata["iterations"] == len(state.elbo_trace)
+        assert np.all(np.diff(state.elbo_trace) >= -1e-8)
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 4, 7])
+    def test_trace_never_exceeds_max_iterations(self, max_iterations):
+        X = np.random.default_rng(4).normal(size=(200, 16))
+        config = BgmmConfig(max_components=10, max_iterations=max_iterations)
+        mix, state = fit(X, config, seed=0)
+        assert len(state.elbo_trace) == mix.metadata["iterations"] == max_iterations
+        assert not mix.metadata["converged"]
+
+
 class TestLogLikelihood:
     def test_standard_normal_at_mean(self):
         mix = FittedMixture(
@@ -251,6 +288,21 @@ class TestLogsumexp:
         assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
         tol = 4 * np.spacing(np.maximum(np.abs(ref[finite]), 1.0))
         assert np.all(np.abs(got[finite] - ref[finite]) <= tol)
+
+
+def _plain_fit_once(X, x2, config, pri, rng):
+    """bgmm._fit_once without merge moves: plain steps until the bound moves
+    by less than elbo_tolerance or the trace holds max_iterations values. The
+    reference iterations below have no moves, so they are compared with this."""
+    state = bgmm._initial_state(X, config, rng)
+    prev = -np.inf
+    for _ in range(config.max_iterations):
+        value = bgmm._step(X, x2, pri, state)
+        state.elbo_trace.append(value)
+        if abs(value - prev) < config.elbo_tolerance:
+            break
+        prev = value
+    return state
 
 
 # The per-component full-covariance iteration as it was before the batched
@@ -390,7 +442,7 @@ class TestBatchedFullIteration:
         ref, _ = _loop_fit_full(X, config, seed=3)
         pri = bgmm._resolve_priors(X, config)
         xc = X - pri.m0
-        got = bgmm._fit_once(xc, xc ** 2, config, pri, np.random.default_rng(3))
+        got = _plain_fit_once(xc, xc ** 2, config, pri, np.random.default_rng(3))
         got.means = got.means + pri.m0
         assert len(ref.elbo_trace) == len(got.elbo_trace) == 10
         # the scatter about the data mean is summed in another order than the
@@ -402,10 +454,14 @@ class TestBatchedFullIteration:
         assert np.array_equal(got.w_inv, got.w_inv.transpose(0, 2, 1))
 
     def test_scoring_equals_per_component_loop(self):
+        # built directly: merges bring a fit of well-separated full-covariance
+        # clusters down to one component (see README, "Merge moves")
         rng = np.random.default_rng(5)
-        centers = rng.normal(0.0, 6.0, size=(3, 18))
-        X = centers[rng.integers(0, 3, size=200)] + rng.normal(size=(200, 18))
-        mix, _ = fit(X, BgmmConfig(max_components=4, covariance_type="full"), seed=2)
+        a = rng.normal(size=(4, 18, 18))
+        weights = rng.uniform(0.1, 1.0, 4)
+        mix = FittedMixture(weights=weights / weights.sum(), means=rng.normal(0.0, 6.0, size=(4, 18)),
+                            covariances=a @ a.transpose(0, 2, 1) / 18 + 0.5 * np.eye(18),
+                            covariance_type="full", metadata={})
         Y = rng.normal(size=(50, 18)) * 3.0
         ref = np.empty((Y.shape[0], mix.n_components))
         for k in range(mix.n_components):
@@ -418,7 +474,10 @@ class TestBatchedFullIteration:
 
     @pytest.mark.parametrize("use_class_priors", [False, True])
     def test_same_labels_as_per_component_loop(self, monkeypatch, use_class_priors):
-        # `clbgmm synth --basic 7 --compound 15 --seed 1` shapes, full covariance
+        # `clbgmm synth --basic 7 --compound 15 --seed 1` shapes, full covariance;
+        # the reference loop makes no merge moves, so neither does the package
+        # fit it is compared with
+        monkeypatch.setattr(bgmm, "_fit_once", _plain_fit_once)
         ta, tb, tasks = generate_synthetic(SyntheticConfig(n_basic_classes=7,
                                                            n_compound_classes=15), 1)
         manifest = ExperimentManifest(
@@ -653,7 +712,7 @@ class TestTrimmedIteration:
 
     @pytest.mark.parametrize("ct", ["spherical", "diagonal"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_equals_reference_iteration(self, ct, case):
+    def test_equals_reference_iteration(self, monkeypatch, ct, case):
         n, d, j, max_iterations, n_restarts = self.CASES[case]
         rng = np.random.default_rng(d * 1000 + n + j)
         # overlapping clusters, so that every fit takes several iterations
@@ -662,6 +721,7 @@ class TestTrimmedIteration:
         config = BgmmConfig(max_components=j, covariance_type=ct,
                             max_iterations=max_iterations, n_restarts=n_restarts)
         ref = _ref_fit(X, config, seed=4)
+        monkeypatch.setattr(bgmm, "_fit_once", _plain_fit_once)
         _, got = fit(X, config, seed=4)
         if case == "stops_at_max_iterations":
             assert len(ref.elbo_trace) == max_iterations
