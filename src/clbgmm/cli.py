@@ -1,13 +1,14 @@
 """Command-line entry point: a thin shell over the library.
 
-Subcommands: synth (write a seeded synthetic dataset + manifest), run
-(execute a manifest across its seeds), metrics (recompute the metric
-series from a results file), oracle (union accuracy of two runs), report
-(plot-ready CSV series). The library owns every file format and setting:
-``dataset`` the manifest and CSV layouts and the synthetic generator's
-defaults, ``protocol`` the result and aggregate files, ``metrics`` the
-accuracy formula. Exit codes: 0 success, 2 input/validation error
-(including a file that is not UTF-8 text), 3 numerical failure.
+Subcommands: synth (write a seeded synthetic dataset + manifest with
+absolute paths), run (execute a manifest across its seeds), metrics
+(recompute the metric series from a results file), oracle (union accuracy
+of two runs), report (plot-ready CSV series), inspect (one CSV row of fit
+metadata per class of a results file). The library owns every file format
+and setting: ``dataset`` the manifest and CSV layouts and the synthetic
+generator's defaults, ``protocol`` the result and aggregate files,
+``metrics`` the accuracy formula. Exit codes: 0 success, 2 input/validation
+error (including a file that is not UTF-8 text), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ EXIT_NUMERICAL = 3
 def cmd_synth(args) -> int:
     config = SyntheticConfig(**{f.name: getattr(args, f.name) for f in fields(SyntheticConfig)})
     table_a, table_b, tasks = generate_synthetic(config, args.seed)
-    out_dir = Path(args.out)
+    # absolute, so the manifest runs from any working directory
+    out_dir = Path(args.out).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
     modalities = []
     for table, normalize in ((table_a, True), (table_b, False)):
@@ -68,7 +70,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    manifest = parse_manifest(read_utf8(args.manifest))
+    text = read_utf8(args.manifest)
+    try:
+        manifest = parse_manifest(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.manifest}: {exc}") from exc
     tables = [
         load_feature_table(spec.path, spec.dim, spec.name)
         for spec in manifest.modalities
@@ -191,6 +197,29 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def cmd_inspect(args) -> int:
+    result = load_run_result(args.results)
+    rows = [["class", "iterations", "merges", "converged", "components_kept",
+             "components_pruned", "all_pruned_fallback", "final_elbo"]]
+    for label, mixture in result.ensemble.models.items():
+        meta = mixture.metadata
+        try:
+            # each value as the file holds it; merges is absent from files
+            # written before merge moves
+            rows.append([label, meta["iterations"], meta.get("merges", ""),
+                         json.dumps(meta["converged"]), mixture.n_components,
+                         meta["components_pruned"], json.dumps(meta["all_pruned_fallback"]),
+                         repr(float(meta["final_elbo"]))])
+        except KeyError as exc:
+            raise ValidationError(f"malformed results file {args.results}: "
+                                  f"class {label!r} metadata missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed results file {args.results}: "
+                                  f"class {label!r} metadata: {exc}") from exc
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clbgmm",
@@ -233,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", nargs="*", default=[])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
+
+    p = sub.add_parser("inspect", help="print each class's fit metadata as CSV")
+    p.add_argument("--results", required=True)
+    p.set_defaults(func=cmd_inspect)
 
     return parser
 

@@ -244,17 +244,27 @@ def aggregate(results) -> AggregateResult:
 # results file I/O
 # ---------------------------------------------------------------------------
 
-def _write_json(doc: dict, path) -> None:
-    """The one encoding of every results file: sorted keys, indent 1, final newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+def _write_json(doc: dict, path, indent: int | None) -> None:
+    """Write doc with sorted keys and a final newline.
+
+    With indent None the text is one line with "," and ":" separators, which
+    json encodes in C; with an indent it uses json's default separators for
+    an indented document and its pure-Python encoder.
+    """
+    separators = (",", ":") if indent is None else None
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent, separators=separators)
+                          + "\n", encoding="utf-8")
 
 
 def save_run_result(result: RunResult, path) -> None:
-    _write_json(result.to_dict(), path)
+    """Write a per-seed results file as compact JSON (one line)."""
+    _write_json(result.to_dict(), path, indent=None)
 
 
 def save_aggregate(agg: AggregateResult, path) -> None:
-    _write_json(agg.to_dict(), path)
+    """Write the aggregate file at indent 1: the benchmark runner writes its own
+    copy at indent 1 and compares it byte for byte with `clbgmm run`'s."""
+    _write_json(agg.to_dict(), path, indent=1)
 
 
 def load_run_result(path) -> RunResult:
@@ -264,7 +274,8 @@ def load_run_result(path) -> RunResult:
     try:
         doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed results file {path}: {exc.msg}") from exc
+        raise ValidationError(f"malformed results file {path} line {exc.lineno} "
+                              f"column {exc.colno}: {exc.msg}") from exc
     try:
         return RunResult.from_dict(doc)
     except KeyError as exc:

@@ -61,6 +61,16 @@ class TestSynth:
         classes = [c for t in manifest["tasks"] for c in t["classes"]]
         assert len(classes) == 22
 
+    def test_relative_out_runs_from_a_child_directory(self, tmp_path, monkeypatch):
+        # a relative --out once wrote cwd-relative paths into the manifest
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "data", "--basic", "3", "--compound", "2",
+                     "--per-class-train", "20", "--per-class-test", "8", "--seed", "1"]) == 0
+        (tmp_path / "child").mkdir()
+        monkeypatch.chdir(tmp_path / "child")
+        assert main(["run", "--manifest", "../data/manifest.json"]) == 0
+        assert (tmp_path / "data" / "results_seed1.json").exists()
+
     def test_manifest_is_a_fixed_point_of_the_parser(self, synth_dir):
         text = (synth_dir / "manifest.json").read_text()
         assert manifest_to_dict(parse_manifest(text)) == json.loads(text)
@@ -168,8 +178,15 @@ class TestRun:
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--manifest", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and field.split("=")[0] in err
+        assert err.startswith(f"error: {bad}: ") and field.split("=")[0] in err
         assert not list(tmp_path.glob("None_*.json"))
+
+    def test_parse_error_names_the_manifest(self, tmp_path, capsys):
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text('{"tasks": [,]}')
+        assert main(["run", "--manifest", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: manifest parse error at line 1, column 12: Expecting value\n")
 
     def test_duplicate_modality_name_exits_2(self, synth_dir, tmp_path, capsys):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
@@ -178,7 +195,7 @@ class TestRun:
         bad.write_text(json.dumps(manifest))
         assert main(["run", "--manifest", str(bad), "--out", str(tmp_path / "res")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'mod_a'" in err
+        assert err.startswith(f"error: {bad}: ") and "'mod_a'" in err
         assert not list(tmp_path.glob("res_*.json"))
 
     def test_duplicate_seed_exits_2(self, synth_dir, tmp_path, capsys):
@@ -190,7 +207,7 @@ class TestRun:
         bad.write_text(json.dumps(manifest))
         assert main(["run", "--manifest", str(bad), "--out", str(tmp_path / "res")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "seed 1" in err
+        assert err.startswith(f"error: {bad}: ") and "seed 1" in err
         assert not list(tmp_path.glob("res_*.json"))
 
     def test_non_utf8_manifest_exits_2(self, synth_dir, tmp_path, capsys):
@@ -291,13 +308,14 @@ class TestMetrics:
         assert main(["metrics", "--results", results_file, "--out", str(b)]) == 0
         assert read(a) == read(b)
 
-    @pytest.mark.parametrize("command", ["metrics", "oracle", "report"])
+    @pytest.mark.parametrize("command", ["metrics", "oracle", "report", "inspect"])
     def test_non_utf8_results_exit_2(self, results_file, tmp_path, capsys, command):
         bad = tmp_path / "bad.json"
         bad.write_bytes(read(results_file).replace(b'"seed"', b'"se\xffed"'))
         args = {"metrics": ["metrics", "--results", str(bad)],
                 "oracle": ["oracle", "--results-a", results_file, "--results-b", str(bad)],
-                "report": ["report", "--results", str(bad), "--out", str(tmp_path / "r")]}
+                "report": ["report", "--results", str(bad), "--out", str(tmp_path / "r")],
+                "inspect": ["inspect", "--results", str(bad)]}
         assert main(args[command]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad} line ") and "not UTF-8" in err
@@ -451,11 +469,71 @@ class TestReport:
         assert main(["report", "--out", str(tmp_path / "r")]) == 2
 
 
-class TestOldLayout:
-    """Result files written before only the final prediction row was kept.
+INSPECT_HEADER = ("class,iterations,merges,converged,components_kept,components_pruned,"
+                  "all_pruned_fallback,final_elbo")
 
-    They hold one prediction row per task k plus stored per-class counts;
-    every command must read them exactly as it reads the current layout.
+
+class TestInspect:
+    def inspect(self, path, capsys):
+        capsys.readouterr()
+        code = main(["inspect", "--results", str(path)])
+        return code, capsys.readouterr()
+
+    def test_rows_match_model_metadata(self, results_file, capsys):
+        code, captured = self.inspect(results_file, capsys)
+        assert code == 0
+        lines = captured.out.splitlines()
+        models = json.loads(Path(results_file).read_text())["ensembles"]["models"]
+        assert lines[0] == INSPECT_HEADER and len(lines) == len(models) + 1
+        for line, (label, mixture) in zip(lines[1:], models):
+            meta = mixture["metadata"]
+            assert line.split(",") == [
+                label, str(meta["iterations"]), str(meta["merges"]),
+                "true" if meta["converged"] else "false", str(len(mixture["weights"])),
+                str(meta["components_pruned"]),
+                "true" if meta["all_pruned_fallback"] else "false", repr(meta["final_elbo"])]
+
+    def rewrite(self, results_file, tmp_path, change):
+        doc = json.loads(Path(results_file).read_text())
+        for _, mixture in doc["ensembles"]["models"]:
+            change(mixture["metadata"])
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_file_without_merges_leaves_the_column_empty(self, results_file, tmp_path, capsys):
+        path = self.rewrite(results_file, tmp_path, lambda meta: meta.pop("merges"))
+        code, captured = self.inspect(path, capsys)
+        assert code == 0
+        assert all(line.split(",")[2] == "" for line in captured.out.splitlines()[1:])
+
+    def test_missing_metadata_key_exits_2(self, results_file, tmp_path, capsys):
+        path = self.rewrite(results_file, tmp_path, lambda meta: meta.pop("iterations"))
+        code, captured = self.inspect(path, capsys)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: malformed results file {path}: class ")
+        assert "missing 'iterations'" in captured.err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        code, captured = self.inspect(tmp_path / "absent.json", capsys)
+        assert code == 2 and captured.out == ""
+        assert "results file not found" in captured.err
+
+    def test_truncated_file_exits_2(self, results_file, tmp_path, capsys):
+        path = tmp_path / "truncated.json"
+        path.write_bytes(read(results_file)[:500])
+        code, captured = self.inspect(path, capsys)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: malformed results file {path} line 1 column ")
+
+
+class TestOldLayout:
+    """Result files written before only the final prediction row was kept,
+    and files written at indent 1 before per-seed files were compact.
+
+    Old-layout files hold one prediction row per task k plus stored
+    per-class counts; every command must read them, and the current layout
+    at indent 1, exactly as it reads the current compact file.
     """
 
     @staticmethod
@@ -481,13 +559,17 @@ class TestOldLayout:
     def layouts(self, synth_dir, tmp_path):
         manifest = parse_manifest((synth_dir / "manifest.json").read_text())
         tables = [load_feature_table(s.path, s.dim, s.name) for s in manifest.modalities]
-        (tmp_path / "old").mkdir()
-        (tmp_path / "new").mkdir()
+        for name in ("old", "indented", "new"):
+            (tmp_path / name).mkdir()
         for seed in (1, 2):
             result = run_continual(manifest, tables, seed)
             new = tmp_path / "new" / f"run_seed{seed}.json"
             save_run_result(result, new)
-            doc = json.loads(new.read_text())
+            text = new.read_text()
+            assert text.count("\n") == 1
+            doc = json.loads(text)
+            (tmp_path / "indented" / new.name).write_text(
+                json.dumps(doc, sort_keys=True, indent=1) + "\n")
             rows = self.old_rows(manifest, tables, result)
             assert len(rows) == result.matrix.n_tasks > 1
             assert [rows[-1]] == doc["per_task_predictions"]
@@ -498,7 +580,7 @@ class TestOldLayout:
             doc["per_class_correct"] = counts
             (tmp_path / "old" / new.name).write_text(
                 json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        return tmp_path / "old", tmp_path / "new"
+        return tmp_path / "old", tmp_path / "indented", tmp_path / "new"
 
     def outputs(self, directory, tmp_path, capsys):
         a, b = str(directory / "run_seed1.json"), str(directory / "run_seed2.json")
@@ -512,10 +594,13 @@ class TestOldLayout:
         report = tmp_path / f"report_{directory.name}"
         assert main(["report", "--results", a, b, "--out", str(report)]) == 0
         out.update({p.name: p.read_text() for p in report.iterdir()})
+        capsys.readouterr()  # report's line names its output directory
+        assert main(["inspect", "--results", a]) == 0
+        out["inspect"] = capsys.readouterr().out
         return out
 
     def test_old_file_loads_final_row(self, layouts):
-        old, new = layouts
+        old, _, new = layouts
         doc = json.loads((old / "run_seed1.json").read_text())
         result = load_run_result(old / "run_seed1.json")
         assert len(doc["per_task_predictions"]) == result.matrix.n_tasks > 1
@@ -525,13 +610,12 @@ class TestOldLayout:
         assert result.per_class_correct() == doc["per_class_correct"]
 
     def test_commands_give_identical_output(self, layouts, tmp_path, capsys):
-        old, new = layouts
-        old_out = self.outputs(old, tmp_path, capsys)
-        new_out = self.outputs(new, tmp_path, capsys)
+        old_out, indented_out, new_out = (self.outputs(d, tmp_path, capsys) for d in layouts)
         assert set(old_out) == {"metrics_csv", "metrics_json", "oracle",
                                 "run_seed1_task_accuracy.csv", "run_seed1_metrics.csv",
                                 "run_seed2_task_accuracy.csv", "run_seed2_metrics.csv",
-                                "per_class_correct.csv", "relative_evolution.csv"}
-        assert old_out == new_out
+                                "per_class_correct.csv", "relative_evolution.csv", "inspect"}
+        assert old_out == indented_out == new_out
+        assert new_out["inspect"].startswith(INSPECT_HEADER + "\n")
         assert set(json.loads(new_out["metrics_json"])) == {
             "AA", "AIA", "FM", "IM", "final_macro_accuracy", "final_micro_accuracy"}

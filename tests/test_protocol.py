@@ -21,6 +21,7 @@ from clbgmm.protocol import (
     multi_seed,
     oracle_union_accuracy,
     run_continual,
+    save_aggregate,
     save_run_result,
     train_joint_reference,
 )
@@ -293,11 +294,30 @@ class TestSerialization:
             assert n_correct == sum(1 for _, t, p in final if t == label and p == t)
         assert 0 < sum(counts.values()) < len(final)  # some right, some wrong
 
+    def test_run_file_compact_and_aggregate_indented(self, tmp_path):
+        manifest, tables = synthetic_setup(seeds=(1, 2))
+        results, agg = multi_seed(manifest, tables)
+        save_run_result(results[0], tmp_path / "run.json")
+        save_aggregate(agg, tmp_path / "agg.json")
+        text = (tmp_path / "run.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        # the benchmark runner writes its aggregate with exactly this encoding
+        assert (tmp_path / "agg.json").read_text(encoding="utf-8") == (
+            json.dumps(agg.to_dict(), sort_keys=True, indent=1) + "\n")
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(ValidationError, match="malformed"):
             load_run_result(path)
+
+    def test_decode_error_names_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"seed": 1,\n "task_names": [,]}', encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_run_result(path)
+        assert str(info.value) == (f"malformed results file {path} line 2 column 17: "
+                                   "Expecting value")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
