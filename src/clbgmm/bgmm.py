@@ -4,12 +4,18 @@ Conjugate model: Dirichlet prior on mixing weights, Gaussian prior on
 component means, Gamma priors on precisions (spherical/diagonal) or a
 Wishart prior (full). Fitting alternates closed-form posterior updates
 with a log-sum-exp responsibility step and tracks the evidence lower bound.
-Every few steps, and at convergence, a merge move tries to fold components
-that share one cluster into one (Ueda et al., "SMEM Algorithm for Mixture
-Models", 2000; Hughes and Sudderth, "Memoized Online Variational Inference
-for Dirichlet Process Mixture Models", 2013) and keeps the merge only if it
-raises the bound. Components whose expected weight ends below
-prune_threshold are dropped once, from the final posterior.
+After the first step, then every few steps, and at convergence, a merge move
+tries to fold components that share one cluster into one (Ueda et al., "SMEM
+Algorithm for Mixture Models", 2000; Hughes and Sudderth, "Memoized Online
+Variational Inference for Dirichlet Process Mixture Models", 2013) and keeps
+the merge only if it raises the bound. Components whose expected weight ends
+below prune_threshold are dropped once, from the final posterior.
+
+There is one step implementation, and it works on a stack: responsibilities
+(C, N, J) against the shared rows (N, D), which broadcast and are never
+copied, give posteriors with a leading C and one bound per candidate. A
+plain step is a stack of one; a merge move scores all its candidates in one
+step. Every candidate's results are bit-identical to those of its own step.
 
 Point estimates (posterior means) populate the returned FittedMixture;
 scoring is a plain mixture density over those plug-in parameters.
@@ -43,6 +49,8 @@ from .errors import NumericalError, ValidationError
 COVARIANCE_TYPES = ("spherical", "diagonal", "full")
 
 LOG_2PI = np.log(2.0 * np.pi)
+LOG_2 = np.log(2.0)
+LOG_PI = np.log(np.pi)
 
 # merge moves (see _fit_once): plain steps between moves, the most-overlapping
 # pairs tried per move, and the least overlap a pair needs to be tried
@@ -170,15 +178,20 @@ class VariationalState:
     hold the Gamma precision posteriors (rate (J, 1) spherical, one precision
     per component; (J, D) diagonal); dof (J,) and w_inv (J, D, D), the
     inverse scale matrix, the Wishart posterior of the full structure.
-    Unused fields stay None. elbo_trace holds one bound per plain step or
-    accepted merge move, and merges counts the accepted moves.
+    Unused fields, and posteriors not yet computed, stay None. elbo_trace
+    holds one bound per plain step or accepted merge move, and merges counts
+    the accepted moves.
+
+    Inside a fit, every array carries a leading axis of C candidates (C = 1
+    between merge moves), so that one step scores them all; fit returns the
+    chosen state without it.
     """
 
     covariance_type: str
     responsibilities: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    means: np.ndarray
+    alpha: np.ndarray | None = None
+    beta: np.ndarray | None = None
+    means: np.ndarray | None = None
     shape: np.ndarray | None = None
     rate: np.ndarray | None = None
     dof: np.ndarray | None = None
@@ -187,7 +200,7 @@ class VariationalState:
     merges: int = 0
 
     def expected_weights(self) -> np.ndarray:
-        return self.alpha / self.alpha.sum()
+        return self.alpha / self.alpha.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -195,38 +208,41 @@ class VariationalState:
 # ---------------------------------------------------------------------------
 
 def _factor(mats: np.ndarray, what: str):
-    """Lower Cholesky factors C of a (J, D, D) stack of SPD matrices, and
-    their inverses C^-1 (lower triangular too).
+    """Lower Cholesky factors C of a (..., J, D, D) stack of SPD matrices,
+    and their inverses C^-1 (lower triangular too).
 
-    Each component makes two LAPACK calls: potrf, as in
-    scipy.linalg.cholesky, so C is bit-identical to its factor without its
-    per-call checks, and trtri, which inverts the triangle. The finite
-    check runs once on the whole stack.
+    Each matrix takes two LAPACK calls: potrf, as in scipy.linalg.cholesky,
+    so C is bit-identical to its factor without its per-call checks, and
+    trtri, which inverts the triangle. The finite check runs once on the
+    whole stack; an error names the component j of the failing matrix.
     """
-    finite = np.isfinite(mats).all(axis=(1, 2))
+    j, d = mats.shape[-3], mats.shape[-1]
+    flat = mats.reshape(-1, d, d)
+    finite = np.isfinite(flat).all(axis=(1, 2))
     if not finite.all():
-        raise NumericalError(f"{what} of component {int(np.argmin(finite))} is not finite")
-    low = np.empty_like(mats)
-    low_inv = np.empty_like(mats)
-    for k in range(mats.shape[0]):
-        c, info = dpotrf(mats[k], lower=1)
+        raise NumericalError(f"{what} of component {int(np.argmin(finite)) % j} is not finite")
+    low = np.empty_like(flat)
+    low_inv = np.empty_like(flat)
+    for k in range(flat.shape[0]):
+        c, info = dpotrf(flat[k], lower=1)
         if info:
-            raise NumericalError(f"{what} of component {k} is not positive definite")
+            raise NumericalError(f"{what} of component {k % j} is not positive definite")
         low[k] = c
         low_inv[k] = dtrtri(c, lower=1)[0]
-    return low, low_inv
+    return low.reshape(mats.shape), low_inv.reshape(mats.shape)
 
 
 def _centred_quad(X: np.ndarray, means: np.ndarray, low_inv: np.ndarray) -> np.ndarray:
-    """(N, J), C-ordered, squared norms |C_j^-1 (x - m_j)|^2, i.e. the
-    quadratic forms (x - m_j)^T (C_j C_j^T)^-1 (x - m_j), on rows centred on
-    each component mean so that a large offset cancels before the product."""
-    y = (X[None, :, :] - means[:, None, :]) @ low_inv.transpose(0, 2, 1)   # (J, N, D)
-    return np.ascontiguousarray((y ** 2).sum(axis=2).T)
+    """(..., N, J), C-ordered, squared norms |C_j^-1 (x - m_j)|^2, i.e. the
+    quadratic forms (x - m_j)^T (C_j C_j^T)^-1 (x - m_j), for means (..., J,
+    D), on rows centred on each component mean so that a large offset
+    cancels before the product."""
+    y = (X - means[..., None, :]) @ low_inv.swapaxes(-1, -2)   # (..., J, N, D)
+    return np.ascontiguousarray((y ** 2).sum(axis=-1).swapaxes(-1, -2))
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of a 2-D array, shifted by each row's maximum
+    """log(sum(exp(a), axis=-1)), shifted by each row's maximum
     (Blanchard, Higham and Higham, IMA J. Numer. Anal. 2021).
 
     A row maximum that is not finite is replaced by 0, so an all -inf row
@@ -234,9 +250,9 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     floating-point warnings unless the caller holds an np.errstate that
     ignores them.
     """
-    a_max = a.max(axis=1, keepdims=True)
+    a_max = a.max(axis=-1, keepdims=True)
     a_max = np.where(np.isfinite(a_max), a_max, 0.0)
-    return np.log(np.exp(a - a_max).sum(axis=1)) + a_max[:, 0]
+    return np.log(np.exp(a - a_max).sum(axis=-1)) + a_max[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +301,8 @@ def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
         pri.w0_inv = np.diag(pri.nu0 * rate)
         pri.w0_logdet = -float(np.sum(np.log(pri.nu0 * rate)))
         idx = np.arange(1, d + 1)
-        pri.log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
-            - 0.25 * d * (d - 1) * np.log(np.pi) \
+        pri.log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * LOG_2 \
+            - 0.25 * d * (d - 1) * LOG_PI \
             - gammaln(0.5 * (pri.nu0 + 1 - idx)).sum()
     return pri
 
@@ -317,119 +333,139 @@ def _init_responsibilities(X: np.ndarray, n_components: int,
 
 def _initial_state(X: np.ndarray, config: BgmmConfig,
                    rng: np.random.Generator) -> VariationalState:
-    j = config.max_components
+    """A stack of one state, holding only the start's responsibilities."""
     return VariationalState(
         covariance_type=config.covariance_type,
-        responsibilities=_init_responsibilities(X, j, rng),
-        alpha=np.zeros(j), beta=np.zeros(j), means=np.zeros((j, X.shape[1])),
+        responsibilities=_init_responsibilities(X, config.max_components, rng)[None],
     )
 
 
-def _m_step(X: np.ndarray, x2: np.ndarray, resp: np.ndarray, pri: _Priors,
-            state: VariationalState) -> None:
-    """Posterior updates from the responsibilities, on rows centred on the
-    prior mean; x2 is X ** 2."""
+def _take(state: VariationalState, index) -> VariationalState:
+    """The state with every array indexed by index on its leading axis: an
+    integer picks one candidate of a stack, a slice a smaller stack. The
+    trace and the merge count are shared."""
+    arrays = {f.name: getattr(state, f.name) for f in fields(state)}
+    return replace(state, **{name: a[index] for name, a in arrays.items()
+                             if isinstance(a, np.ndarray)})
+
+
+def _m_step(X: np.ndarray, x2: np.ndarray, pri: _Priors, state: VariationalState) -> None:
+    """Posterior updates from a stack of responsibilities (C, N, J), on rows
+    centred on the prior mean; x2 is X ** 2. X and x2 broadcast over the
+    stack."""
+    resp = state.responsibilities
     d = X.shape[1]
-    counts = resp.sum(axis=0)
+    counts = resp.sum(axis=1)                                          # (C, J)
     nk = counts + 1e-12
     beta = state.beta = pri.beta0 + nk
-    m = state.means = (resp.T @ X) / beta[:, None]
+    resp_t = resp.transpose(0, 2, 1)                                   # (C, J, N)
+    m = state.means = (resp_t @ X) / beta[..., None]                  # (C, J, D)
     state.alpha = pri.alpha0 + counts
 
     # scatter about the prior mean (zero), the shrinkage of m included: the
     # weighted second moment minus beta m m^T
     if state.covariance_type != "full":
-        scatter = np.maximum(resp.T @ x2 - beta[:, None] * m ** 2, 0.0)   # (J, D)
+        scatter = np.maximum(resp_t @ x2 - beta[..., None] * m ** 2, 0.0)   # (C, J, D)
         if state.covariance_type == "spherical":
-            scatter = scatter.sum(axis=1, keepdims=True)               # (J, 1)
-        state.shape = pri.a0 + 0.5 * nk * (d / scatter.shape[1])
-        state.rate = pri.b0[None, :] + 0.5 * scatter
+            scatter = scatter.sum(axis=2, keepdims=True)               # (C, J, 1)
+        state.shape = pri.a0 + 0.5 * nk * (d / scatter.shape[2])
+        state.rate = pri.b0 + 0.5 * scatter
     else:
         state.dof = pri.nu0 + nk
-        w_inv = pri.w0_inv + (resp.T[:, :, None] * X).transpose(0, 2, 1) @ X \
-            - beta[:, None, None] * (m[:, :, None] * m[:, None, :])
-        state.w_inv = 0.5 * (w_inv + w_inv.transpose(0, 2, 1))
+        w_inv = pri.w0_inv + (resp_t[..., None] * X).swapaxes(2, 3) @ X \
+            - beta[..., None, None] * (m[..., :, None] * m[..., None, :])
+        state.w_inv = 0.5 * (w_inv + w_inv.swapaxes(2, 3))
 
 
-def _diag_quad(X: np.ndarray, x2: np.ndarray, prec: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """(N, J) quadratic forms sum_d prec_jd (x_d - m_jd)^2 in GEMM form; x2 is X ** 2."""
-    return x2 @ prec.T - X @ (2.0 * prec * means).T + (prec * means ** 2).sum(axis=1)
+def _diag_quad(X: np.ndarray, x2: np.ndarray, prec: np.ndarray, means: np.ndarray,
+               prec_m2: np.ndarray) -> np.ndarray:
+    """(..., N, J) quadratic forms sum_d prec_jd (x_d - m_jd)^2 in GEMM form,
+    for precisions and means (..., J, D); x2 is X ** 2 and prec_m2 (..., J)
+    is sum_d prec_jd m_jd^2."""
+    return x2 @ prec.swapaxes(-1, -2) - X @ (2.0 * prec * means).swapaxes(-1, -2) \
+        + prec_m2[..., None, :]
 
 
 def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
-            state: VariationalState) -> tuple[np.ndarray, float]:
+            state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample, per-component expected Gaussian log density + E[log pi]
-    of rows centred on the prior mean (x2 is X ** 2), and KL(q || prior) for
-    the weight and mean/precision posteriors. Each expectation the two share
-    is computed once."""
+    of rows centred on the prior mean (x2 is X ** 2), (C, N, J), and KL(q ||
+    prior) for the weight and mean/precision posteriors, (C,), of a stack of
+    C posteriors. Each expectation the two share is computed once."""
     alpha, beta, m = state.alpha, state.beta, state.means
-    d = m.shape[1]
-    elog_pi = digamma(alpha) - digamma(alpha.sum())
-    kl = gammaln(alpha.sum()) - pri.gammaln_j_alpha0 \
-        + pri.j_gammaln_alpha0 - gammaln(alpha).sum() \
-        + ((alpha - pri.alpha0) * elog_pi).sum()
+    c, _, d = m.shape
+    d_beta = d / beta
+    alpha_sum = alpha.sum(axis=1)
+    elog_pi = digamma(alpha) - digamma(alpha_sum)[:, None]
+    kl = gammaln(alpha_sum) - pri.gammaln_j_alpha0 \
+        + pri.j_gammaln_alpha0 - gammaln(alpha).sum(axis=1) \
+        + ((alpha - pri.alpha0) * elog_pi).sum(axis=1)
 
     if state.covariance_type != "full":
         a, b = state.shape, state.rate
         digamma_a = digamma(a)
         log_b = np.log(b)
-        # out= broadcasts a spherical rate (J, 1) over the D columns
-        elog_lam = np.subtract(digamma_a[:, None], log_b, out=np.empty_like(m))   # (J, D)
-        prec = np.divide(a[:, None], b, out=np.empty_like(m))
-        log_dens = 0.5 * elog_lam.sum(axis=1) - 0.5 * d * LOG_2PI \
-            - 0.5 * (_diag_quad(X, x2, prec, m) + d / beta)
-        # summed over a spherical rate (J, 1), this is one Gamma per component
+        # out= broadcasts a spherical rate (C, J, 1) over the D columns
+        elog_lam = np.subtract(digamma_a[..., None], log_b, out=np.empty_like(m))   # (C, J, D)
+        prec = np.divide(a[..., None], b, out=np.empty_like(m))
+        prec_m2 = (prec * m ** 2).sum(axis=2)
+        log_dens = 0.5 * elog_lam.sum(axis=2)[:, None, :] - 0.5 * d * LOG_2PI \
+            - 0.5 * (_diag_quad(X, x2, prec, m, prec_m2) + d_beta[:, None, :])
+        # summed over a spherical rate (C, J, 1), this is one Gamma per component
         kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
-               + 0.5 * pri.beta0 * ((prec * m ** 2).sum(axis=1) + d / beta)).sum()
-        kl += ((a[:, None] - pri.a0) * digamma_a[:, None]
-               - gammaln(a)[:, None] + pri.gammaln_a0
-               + pri.a0 * (log_b - pri.log_b0[None, :])
-               + a[:, None] * (pri.b0[None, :] - b) / b).sum()
+               + 0.5 * pri.beta0 * (prec_m2 + d_beta)).sum(axis=1)
+        kl += ((a[..., None] - pri.a0) * digamma_a[..., None]
+               - gammaln(a)[..., None] + pri.gammaln_a0
+               + pri.a0 * (log_b - pri.log_b0)
+               + a[..., None] * (pri.b0 - b) / b).reshape(c, -1).sum(axis=1)
     else:
         # from one factor C = chol(w_inv): scale W = C^-T C^-1, log det W
         # = -2 sum(log diag C), and E[log det precision]
         nu = state.dof
         low, low_inv = _factor(state.w_inv, "inverse scale matrix")
-        w = low_inv.transpose(0, 2, 1) @ low_inv
-        logdet_w = -2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
-        wishart_arg = 0.5 * (nu[:, None] + 1 - np.arange(1, d + 1))          # (J, D)
-        elog_det = digamma(wishart_arg).sum(axis=1) + d * np.log(2.0) + logdet_w
-        log_dens = 0.5 * elog_det - 0.5 * d * LOG_2PI \
-            - 0.5 * (nu * _centred_quad(X, m, low_inv) + d / beta)
-        quad = (((nu[:, None] * m)[:, None, :] @ w) @ m[:, :, None])[:, 0, 0]
+        w = low_inv.swapaxes(2, 3) @ low_inv
+        logdet_w = -2.0 * np.log(np.diagonal(low, axis1=2, axis2=3)).sum(axis=2)
+        wishart_arg = 0.5 * (nu[..., None] + 1 - np.arange(1, d + 1))       # (C, J, D)
+        elog_det = digamma(wishart_arg).sum(axis=2) + d * LOG_2 + logdet_w
+        log_dens = (0.5 * elog_det - 0.5 * d * LOG_2PI)[:, None, :] \
+            - 0.5 * (nu[:, None, :] * _centred_quad(X, m, low_inv) + d_beta[:, None, :])
+        quad = (((nu[..., None] * m)[..., None, :] @ w) @ m[..., :, None])[..., 0, 0]
         mean_kl = 0.5 * d * np.log(beta / pri.beta0) - 0.5 * d \
-            + 0.5 * pri.beta0 * (quad + d / beta)
-        log_b_q = -0.5 * nu * logdet_w - 0.5 * nu * d * np.log(2.0) \
-            - 0.25 * d * (d - 1) * np.log(np.pi) \
-            - gammaln(wishart_arg).sum(axis=1)
+            + 0.5 * pri.beta0 * (quad + d_beta)
+        log_b_q = -0.5 * nu * logdet_w - 0.5 * nu * d * LOG_2 \
+            - 0.25 * d * (d - 1) * LOG_PI \
+            - gammaln(wishart_arg).sum(axis=2)
         wishart_kl = log_b_q - pri.log_b_p + 0.5 * (nu - pri.nu0) * elog_det \
-            + 0.5 * nu * (np.trace(pri.w0_inv @ w, axis1=1, axis2=2) - d)
-        kl += (mean_kl + wishart_kl).sum()
-    return elog_pi[None, :] + log_dens, float(kl)
+            + 0.5 * nu * (np.trace(pri.w0_inv @ w, axis1=2, axis2=3) - d)
+        kl += (mean_kl + wishart_kl).sum(axis=1)
+    return elog_pi[:, None, :] + log_dens, kl
 
 
-def _step(X: np.ndarray, x2: np.ndarray, pri: _Priors, state: VariationalState) -> float:
-    """One plain step from state.responsibilities: M-step, E-step and new
-    responsibilities, in place; returns the bound, which must be finite."""
-    _m_step(X, x2, state.responsibilities, pri, state)
+def _step(X: np.ndarray, x2: np.ndarray, pri: _Priors, state: VariationalState) -> np.ndarray:
+    """One variational step for each of a stack of C candidates, from
+    state.responsibilities (C, N, J): M-step, E-step and new
+    responsibilities, in place. Returns the C bounds, which must be finite.
+    A candidate's results do not depend on the others in the stack."""
+    _m_step(X, x2, pri, state)
     log_dens, kl = _e_step(X, x2, pri, state)
     log_norm = _logsumexp(log_dens)
-    state.responsibilities = np.exp(log_dens - log_norm[:, None])
-    value = float(log_norm.sum()) - kl
-    if not np.isfinite(value):
+    state.responsibilities = np.exp(log_dens - log_norm[..., None])
+    values = log_norm.sum(axis=1) - kl
+    if not np.isfinite(values).all():
         raise NumericalError(
             f"evidence lower bound is not finite at iteration {len(state.elbo_trace) + 1}")
-    return value
+    return values
 
 
 def _merge_candidates(state: VariationalState, config: BgmmConfig, collapse: bool):
-    """Merged responsibilities to try, as (is_collapse, resp) pairs: every
-    live component collapsed into the first, then the MERGE_PAIRS live pairs
-    of highest responsibility overlap at or above MERGE_MIN_OVERLAP, with
-    column b added to column a < b and zeroed. A live component has expected
-    weight >= prune_threshold; the stable sort ranks tied pairs by index."""
-    resp = state.responsibilities
-    live = np.flatnonzero(state.expected_weights() >= config.prune_threshold)
+    """Merged responsibilities to try from a stack of one state, as
+    (is_collapse, resp) pairs: every live component collapsed into the
+    first, then the MERGE_PAIRS live pairs of highest responsibility overlap
+    at or above MERGE_MIN_OVERLAP, with column b added to column a < b and
+    zeroed. A live component has expected weight >= prune_threshold; the
+    stable sort ranks tied pairs by index."""
+    resp = state.responsibilities[0]
+    live = np.flatnonzero(state.expected_weights()[0] >= config.prune_threshold)
     if live.size < 2:
         return []
     cols = resp[:, live]
@@ -443,7 +479,8 @@ def _merge_candidates(state: VariationalState, config: BgmmConfig, collapse: boo
             return out
     gram = cols.T @ cols
     norms = np.sqrt(np.diag(gram))
-    ia, ib = np.triu_indices(live.size, 1)
+    # the pairs a < b in np.triu_indices(live.size, 1) order, without its overhead
+    ia, ib = np.nonzero(~np.tri(live.size, dtype=bool))
     overlap = gram[ia, ib] / (norms[ia] * norms[ib])
     for p in np.argsort(-overlap, kind="stable")[:MERGE_PAIRS]:
         if not overlap[p] >= MERGE_MIN_OVERLAP:   # NaN, from an empty column, too
@@ -459,16 +496,22 @@ def _merge_candidates(state: VariationalState, config: BgmmConfig, collapse: boo
 def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
               rng: np.random.Generator) -> VariationalState:
     """Plain steps until the bound moves by less than elbo_tolerance, with a
-    merge move every MERGE_PERIOD steps and at convergence. The trace holds
-    one value per plain step or accepted merge, at most max_iterations.
+    merge move after plain step 1, then every MERGE_PERIOD plain steps
+    (steps 1, 4, 7, ...), and at convergence. The trace holds one value per
+    plain step or accepted merge, at most max_iterations.
 
-    A move scores each candidate by one plain step from its merged
+    A move scores all its candidates by one stacked step from their merged
     responsibilities and continues from the best one if that bound is
-    strictly above the last trace value, so the trace stays monotone. The
-    arrays keep all J columns: a merged-away component keeps alpha0 in the
-    Dirichlet sums, so bounds stay comparable within the fit. The collapse
-    candidate is dropped for the rest of the fit once it fails to raise the
-    bound.
+    strictly above the last trace value, so the trace stays monotone; ties
+    go to the earliest candidate. The arrays keep all J columns: a
+    merged-away component keeps alpha0 in the Dirichlet sums, so bounds stay
+    comparable within the fit. The collapse candidate is dropped for the
+    rest of the fit once it fails to raise the bound.
+
+    The first move comes after one step because, on data from one cluster,
+    it is accepted there and the fit converges one step later. A move after
+    every step would score candidates after each of the many steps of a fit
+    that never merges, so moves wait MERGE_PERIOD steps after the first.
     """
     state = _initial_state(X, config, rng)
     trace = state.elbo_trace
@@ -476,29 +519,28 @@ def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
     steps = 0
     prev = -np.inf
     while len(trace) < config.max_iterations:
-        value = _step(X, x2, pri, state)
+        value = float(_step(X, x2, pri, state)[0])
         trace.append(value)
         steps += 1
         converged = abs(value - prev) < config.elbo_tolerance
         prev = value
-        if len(trace) < config.max_iterations and (converged or steps % MERGE_PERIOD == 0):
-            best, best_value = None, value
-            for is_collapse, merged in _merge_candidates(state, config, collapse):
-                candidate = replace(state, responsibilities=merged)
-                bound = _step(X, x2, pri, candidate)
-                if is_collapse and not bound > value:
+        if len(trace) < config.max_iterations and (converged or (steps - 1) % MERGE_PERIOD == 0):
+            candidates = _merge_candidates(state, config, collapse)
+            if candidates:
+                stack = replace(state, responsibilities=np.stack([r for _, r in candidates]))
+                bounds = _step(X, x2, pri, stack)
+                if candidates[0][0] and not bounds[0] > value:
                     collapse = False
-                if bound > best_value:
-                    best, best_value = candidate, bound
-            if best is not None:
-                state = best
-                state.merges += 1
-                trace.append(best_value)
-                prev = best_value
-                continue
+                best = int(np.argmax(bounds))
+                if bounds[best] > value:
+                    state = _take(stack, slice(best, best + 1))
+                    state.merges += 1
+                    trace.append(float(bounds[best]))
+                    prev = trace[-1]
+                    continue
         if converged:
             break
-    return state
+    return _take(state, 0)
 
 
 def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
@@ -600,7 +642,8 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
             var = np.repeat(var[:, None], d, axis=1)
         ref = mix.weights @ m
         xc = X - ref
-        quad = _diag_quad(xc, xc ** 2, 1.0 / var, m - ref)
+        prec, mc = 1.0 / var, m - ref
+        quad = _diag_quad(xc, xc ** 2, prec, mc, (prec * mc ** 2).sum(axis=1))
         return -0.5 * (d * LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad)
     low, low_inv = _factor(mix.covariances, "covariance")
     quad = _centred_quad(X, m, low_inv)

@@ -150,6 +150,31 @@ class TestEffectiveComponents:
         assert mix.n_components == 2
 
 
+# A Student-t(2) 200x16 sample: a diagonal fit of it never merges, and its
+# trace runs past 100 entries.
+STUDENT_T_ROWS = np.random.default_rng(4).standard_t(2, size=(200, 16))
+
+
+def _record_steps(monkeypatch):
+    """Wrap bgmm._step and bgmm._merge_candidates; returns the log, one
+    ("step", C) per step call and one ("move", candidates) per move tried."""
+    calls = []
+    step, candidates = bgmm._step, bgmm._merge_candidates
+
+    def counted_step(X, x2, pri, state):
+        calls.append(("step", state.responsibilities.shape[0]))
+        return step(X, x2, pri, state)
+
+    def counted_candidates(state, config, collapse):
+        out = candidates(state, config, collapse)
+        calls.append(("move", len(out)))
+        return out
+
+    monkeypatch.setattr(bgmm, "_step", counted_step)
+    monkeypatch.setattr(bgmm, "_merge_candidates", counted_candidates)
+    return calls
+
+
 class TestMergeMoves:
     @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
     @pytest.mark.parametrize("d", [2, 8, 32, 64])
@@ -178,13 +203,69 @@ class TestMergeMoves:
         assert mix.metadata["iterations"] == len(state.elbo_trace)
         assert np.all(np.diff(state.elbo_trace) >= -1e-8)
 
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_first_move_follows_step_one(self, monkeypatch, ct):
+        # one plain step, the collapse scored and accepted, one step that
+        # converges; the move tried at convergence has one live component
+        # and scores nothing
+        calls = _record_steps(monkeypatch)
+        X = np.random.default_rng(3).normal(size=(300, 8))
+        mix, state = fit(X, BgmmConfig(max_components=10, covariance_type=ct), seed=1)
+        # the collapse and MERGE_PAIRS pairs are scored in one step
+        assert [n for kind, n in calls if kind == "step"] == [1, 1 + bgmm.MERGE_PAIRS, 1]
+        assert len(state.elbo_trace) == 3
+        assert state.merges == mix.metadata["merges"] == 1
+        assert mix.metadata["converged"]
+
+    def test_moves_follow_steps_1_4_7_and_convergence(self, monkeypatch):
+        calls = _record_steps(monkeypatch)
+        mix, state = fit(STUDENT_T_ROWS, BgmmConfig(max_components=10), seed=0)
+        assert state.merges == 0 and mix.metadata["converged"]
+        plain = 0
+        moves_after = []
+        scoring = False   # the next step call scores a move's candidates
+        for kind, n in calls:
+            if kind == "move":
+                moves_after.append(plain)
+                scoring = n > 0
+            elif scoring:
+                scoring = False
+            else:
+                plain += 1
+        assert plain == len(state.elbo_trace) > 100
+        assert moves_after == list(range(1, plain, bgmm.MERGE_PERIOD)) + [plain]
+
     @pytest.mark.parametrize("max_iterations", [1, 2, 3, 4, 7])
     def test_trace_never_exceeds_max_iterations(self, max_iterations):
-        X = np.random.default_rng(4).normal(size=(200, 16))
+        # heavy-tailed data that never merges and takes over 100 trace
+        # entries uncapped, so the fit is unconverged at every cap here
         config = BgmmConfig(max_components=10, max_iterations=max_iterations)
-        mix, state = fit(X, config, seed=0)
+        mix, state = fit(STUDENT_T_ROWS, config, seed=0)
         assert len(state.elbo_trace) == mix.metadata["iterations"] == max_iterations
         assert not mix.metadata["converged"]
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    @pytest.mark.parametrize("n_candidates", [1, 2, 3, 4])
+    def test_equals_separate_steps_bit_for_bit(self, ct, n_candidates):
+        rng = np.random.default_rng(n_candidates)
+        X = rng.standard_t(3, size=(60, 6)) * rng.uniform(0.5, 3.0, 6)
+        config = BgmmConfig(max_components=7, covariance_type=ct)
+        pri = bgmm._resolve_priors(X, config)
+        X = X - pri.m0
+        resp = rng.dirichlet(np.full(7, 0.5), size=(n_candidates, 60))
+        resp[1:, :, 0] = 0.0   # merged-away columns, as in a merge candidate
+        stack = bgmm.VariationalState(ct, resp.copy())
+        bounds = bgmm._step(X, X ** 2, pri, stack)
+        assert bounds.shape == (n_candidates,)
+        names = ["responsibilities", "alpha", "beta", "means"]
+        names += ["w_inv", "dof"] if ct == "full" else ["rate", "shape"]
+        for c in range(n_candidates):
+            one = bgmm.VariationalState(ct, resp[c:c + 1].copy())
+            assert bgmm._step(X, X ** 2, pri, one)[0] == bounds[c]
+            for name in names:
+                assert np.array_equal(getattr(stack, name)[c], getattr(one, name)[0]), name
 
 
 class TestLogLikelihood:
@@ -291,18 +372,26 @@ class TestLogsumexp:
 
 
 def _plain_fit_once(X, x2, config, pri, rng):
-    """bgmm._fit_once without merge moves: plain steps until the bound moves
-    by less than elbo_tolerance or the trace holds max_iterations values. The
-    reference iterations below have no moves, so they are compared with this."""
+    """bgmm._fit_once without merge moves: plain steps, on a stack of one,
+    until the bound moves by less than elbo_tolerance or the trace holds
+    max_iterations values. The reference iterations below have no moves, so
+    they are compared with this."""
     state = bgmm._initial_state(X, config, rng)
     prev = -np.inf
     for _ in range(config.max_iterations):
-        value = bgmm._step(X, x2, pri, state)
+        value = float(bgmm._step(X, x2, pri, state)[0])
         state.elbo_trace.append(value)
         if abs(value - prev) < config.elbo_tolerance:
             break
         prev = value
-    return state
+    return bgmm._take(state, 0)
+
+
+def _stack_of_one(state):
+    """A fitted state with the leading candidate axis a step works on."""
+    return dataclasses.replace(state, **{
+        f.name: getattr(state, f.name)[None] for f in dataclasses.fields(state)
+        if isinstance(getattr(state, f.name), np.ndarray)})
 
 
 # The per-component full-covariance iteration as it was before the batched
@@ -541,7 +630,8 @@ class TestSingleFactorAlgebra:
         X, _, state, pri = _fitted_full_state()
         X = X - pri.m0  # the fit's frame
         d = X.shape[1]
-        got, kl = bgmm._e_step(X, X ** 2, pri, state)
+        got, kl = bgmm._e_step(X, X ** 2, pri, _stack_of_one(state))
+        got, kl = got[0], kl[0]
         w = np.linalg.inv(state.w_inv)
         xc = X[None, :, :] - state.means[:, None, :]
         quad = np.einsum("jnd,jde,jne->nj", xc, state.dof[:, None, None] * w, xc)
@@ -566,10 +656,11 @@ class TestSingleFactorAlgebra:
                               covariances=mix.covariances, covariance_type="full", metadata={})
         np.testing.assert_allclose(bgmm._component_log_density(moved, X + 1e6),
                                    bgmm._component_log_density(mix, X), rtol=0, atol=1e-8)
-        e_step = bgmm._e_step(X, X ** 2, pri, state)[0]
+        e_step = bgmm._e_step(X, X ** 2, pri, _stack_of_one(state))[0]
         state.means = state.means + 1e6
-        np.testing.assert_allclose(bgmm._e_step(X + 1e6, (X + 1e6) ** 2, pri, state)[0],
-                                   e_step, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(
+            bgmm._e_step(X + 1e6, (X + 1e6) ** 2, pri, _stack_of_one(state))[0],
+            e_step, rtol=0, atol=1e-8)
 
 
 class TestShiftInvariance:
