@@ -179,8 +179,8 @@ class VariationalState:
     per component; (J, D) diagonal); dof (J,) and w_inv (J, D, D), the
     inverse scale matrix, the Wishart posterior of the full structure.
     Unused fields, and posteriors not yet computed, stay None. elbo_trace
-    holds one bound per plain step or accepted merge move, and merges counts
-    the accepted moves.
+    holds one bound per plain step or accepted merge move, merges counts the
+    accepted moves, and converged is the fit's own stopping decision.
 
     Inside a fit, every array carries a leading axis of C candidates (C = 1
     between merge moves), so that one step scores them all; fit returns the
@@ -198,6 +198,7 @@ class VariationalState:
     w_inv: np.ndarray | None = None
     elbo_trace: list = field(default_factory=list)
     merges: int = 0
+    converged: bool = False
 
     def expected_weights(self) -> np.ndarray:
         return self.alpha / self.alpha.sum(axis=-1, keepdims=True)
@@ -331,15 +332,6 @@ def _init_responsibilities(X: np.ndarray, n_components: int,
     return resp
 
 
-def _initial_state(X: np.ndarray, config: BgmmConfig,
-                   rng: np.random.Generator) -> VariationalState:
-    """A stack of one state, holding only the start's responsibilities."""
-    return VariationalState(
-        covariance_type=config.covariance_type,
-        responsibilities=_init_responsibilities(X, config.max_components, rng)[None],
-    )
-
-
 def _take(state: VariationalState, index) -> VariationalState:
     """The state with every array indexed by index on its leading axis: an
     integer picks one candidate of a stack, a slice a smaller stack. The
@@ -458,25 +450,25 @@ def _step(X: np.ndarray, x2: np.ndarray, pri: _Priors, state: VariationalState) 
 
 
 def _merge_candidates(state: VariationalState, config: BgmmConfig, collapse: bool):
-    """Merged responsibilities to try from a stack of one state, as
-    (is_collapse, resp) pairs: every live component collapsed into the
-    first, then the MERGE_PAIRS live pairs of highest responsibility overlap
-    at or above MERGE_MIN_OVERLAP, with column b added to column a < b and
-    zeroed. A live component has expected weight >= prune_threshold; the
-    stable sort ranks tied pairs by index."""
+    """Merged responsibilities to try from a stack of one state, stacked
+    (C, N, J), or None: with collapse, first every live component collapsed
+    into the first; then the MERGE_PAIRS live pairs of highest responsibility
+    overlap at or above MERGE_MIN_OVERLAP, with column b added to column a <
+    b and zeroed. A live component has expected weight >= prune_threshold;
+    the stable sort ranks tied pairs by index."""
     resp = state.responsibilities[0]
     live = np.flatnonzero(state.expected_weights()[0] >= config.prune_threshold)
     if live.size < 2:
-        return []
+        return None
     cols = resp[:, live]
     out = []
     if collapse:
         merged = resp.copy()
         merged[:, live[0]] = cols.sum(axis=1)
         merged[:, live[1:]] = 0.0
-        out.append((True, merged))
+        out.append(merged)
         if live.size == 2:   # the only pair is the collapse
-            return out
+            return merged[None]
     gram = cols.T @ cols
     norms = np.sqrt(np.diag(gram))
     # the pairs a < b in np.triu_indices(live.size, 1) order, without its overhead
@@ -489,8 +481,8 @@ def _merge_candidates(state: VariationalState, config: BgmmConfig, collapse: boo
         merged = resp.copy()
         merged[:, a] += merged[:, b]
         merged[:, b] = 0.0
-        out.append((False, merged))
-    return out
+        out.append(merged)
+    return np.stack(out) if out else None
 
 
 def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
@@ -498,7 +490,9 @@ def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
     """Plain steps until the bound moves by less than elbo_tolerance, with a
     merge move after plain step 1, then every MERGE_PERIOD plain steps
     (steps 1, 4, 7, ...), and at convergence. The trace holds one value per
-    plain step or accepted merge, at most max_iterations.
+    plain step or accepted merge, at most max_iterations. converged is set by
+    each plain step and cleared by an accepted merge, so a fit that
+    max_iterations cuts right after a merge is not converged.
 
     A move scores all its candidates by one stacked step from their merged
     responsibilities and continues from the best one if that bound is
@@ -513,32 +507,30 @@ def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
     every step would score candidates after each of the many steps of a fit
     that never merges, so moves wait MERGE_PERIOD steps after the first.
     """
-    state = _initial_state(X, config, rng)
+    state = VariationalState(
+        covariance_type=config.covariance_type,
+        responsibilities=_init_responsibilities(X, config.max_components, rng)[None])
     trace = state.elbo_trace
     collapse = True
-    steps = 0
-    prev = -np.inf
     while len(trace) < config.max_iterations:
         value = float(_step(X, x2, pri, state)[0])
+        state.converged = bool(trace) and abs(value - trace[-1]) < config.elbo_tolerance
         trace.append(value)
-        steps += 1
-        converged = abs(value - prev) < config.elbo_tolerance
-        prev = value
-        if len(trace) < config.max_iterations and (converged or (steps - 1) % MERGE_PERIOD == 0):
-            candidates = _merge_candidates(state, config, collapse)
-            if candidates:
-                stack = replace(state, responsibilities=np.stack([r for _, r in candidates]))
+        plain = len(trace) - state.merges
+        if len(trace) < config.max_iterations and (state.converged or (plain - 1) % MERGE_PERIOD == 0):
+            resp = _merge_candidates(state, config, collapse)
+            if resp is not None:
+                stack = replace(state, responsibilities=resp)
                 bounds = _step(X, x2, pri, stack)
-                if candidates[0][0] and not bounds[0] > value:
-                    collapse = False
+                collapse = collapse and bounds[0] > value
                 best = int(np.argmax(bounds))
                 if bounds[best] > value:
                     state = _take(stack, slice(best, best + 1))
                     state.merges += 1
+                    state.converged = False
                     trace.append(float(bounds[best]))
-                    prev = trace[-1]
                     continue
-        if converged:
+        if state.converged:
             break
     return _take(state, 0)
 
@@ -571,10 +563,6 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
         vals, vecs = np.linalg.eigh(state.w_inv[keep] / state.dof[keep][:, None, None])
         cov = (vecs * np.maximum(vals, floor)[:, None, :]) @ vecs.transpose(0, 2, 1)
 
-    converged = len(state.elbo_trace) < config.max_iterations or (
-        len(state.elbo_trace) >= 2
-        and abs(state.elbo_trace[-1] - state.elbo_trace[-2]) < config.elbo_tolerance
-    )
     meta = {
         "final_elbo": state.elbo_trace[-1],
         "iterations": len(state.elbo_trace),
@@ -582,7 +570,7 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
         "components_pruned": n_pruned,
         "seed": seed,
         "restart": restart,
-        "converged": bool(converged),
+        "converged": state.converged,
         "all_pruned_fallback": fallback,
     }
     return FittedMixture(weights=w, means=means, covariances=cov,
@@ -601,8 +589,8 @@ def fit(data, config: BgmmConfig, seed: int):
     X = np.asarray(data, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValidationError("data must be a non-empty list of equal-length vectors")
+    if X.ndim != 2 or 0 in X.shape:
+        raise ValidationError("data must be a non-empty list of equal-length, non-empty vectors")
     if not np.all(np.isfinite(X)):
         raise ValidationError("data contains non-finite values")
 
@@ -611,15 +599,10 @@ def fit(data, config: BgmmConfig, seed: int):
         X = X - pri.m0
         x2 = X ** 2
         rng = np.random.default_rng(seed)
-        best_state = None
-        best_restart = 0
-        for r in range(config.n_restarts):
-            state = _fit_once(X, x2, config, pri, rng)
-            if best_state is None or state.elbo_trace[-1] > best_state.elbo_trace[-1]:
-                best_state = state
-                best_restart = r
-        mixture = _plug_in(best_state, config, pri, seed, best_restart)
-    return mixture, best_state
+        states = [_fit_once(X, x2, config, pri, rng) for _ in range(config.n_restarts)]
+        best = max(range(config.n_restarts), key=lambda r: states[r].elbo_trace[-1])
+        mixture = _plug_in(states[best], config, pri, seed, best)
+    return mixture, states[best]
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +637,8 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
 def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
     """Mixture log density for a batch of points, via log-sum-exp."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != mix.dim:
-        raise ValidationError(f"dimension mismatch: got {X.shape[1]}, mixture expects {mix.dim}")
+    if X.ndim != 2 or X.shape[1] != mix.dim:
+        raise ValidationError(f"shape mismatch: got {X.shape}, mixture expects rows of {mix.dim}")
     scores = _component_log_density(mix, X) + np.log(mix.weights)[None, :]
     with np.errstate(all="ignore"):
         return _logsumexp(scores)

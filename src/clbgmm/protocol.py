@@ -33,6 +33,15 @@ from .fusion import fit_normalizer
 from .metrics import AccuracyMatrix, MetricsReport, accuracy, compute_report
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(values, n: int, valid) -> bool:
+    """Whether values is a list of n entries that each pass valid."""
+    return isinstance(values, list) and len(values) == n and all(map(valid, values))
+
+
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
@@ -61,15 +70,24 @@ class RunResult:
 
     @staticmethod
     def from_dict(d: dict) -> "RunResult":
+        """Rebuild a result; a field of the wrong type or range raises
+        ValueError, TypeError or ValidationError."""
+        matrix = AccuracyMatrix.from_rows(d["accuracy_matrix"], d["task_names"])
+        t = matrix.n_tasks
+        sizes = d["per_task_test_sizes"]
+        if not _list_of(sizes, t, lambda s: isinstance(s, int) and not isinstance(s, bool) and s > 0):
+            raise ValueError(f"per_task_test_sizes must be {t} positive integers")
+        refs = d.get("joint_reference")
+        if refs is not None and not _list_of(refs, t, lambda a: _is_number(a) and 0.0 <= a <= 1.0):
+            raise ValueError(f"joint_reference must be null or {t} numbers in [0, 1]")
         rows = d["per_task_predictions"]
-        sizes = list(d["per_task_test_sizes"])
         if not rows or len(rows[-1]) != sum(sizes):
             raise ValueError(f"the final prediction row needs {sum(sizes)} entries")
         return RunResult(
-            matrix=AccuracyMatrix.from_rows(d["accuracy_matrix"], d["task_names"]),
+            matrix=matrix,
             per_task_predictions=[[(sid, truth, pred) for sid, truth, pred in rows[-1]]],
-            per_task_test_sizes=sizes,
-            joint_reference_accuracies=d.get("joint_reference"),
+            per_task_test_sizes=list(sizes),
+            joint_reference_accuracies=refs,
             manifest_echo=dict(d["config"]),
             seed=int(d["seed"]),
             ensemble=ClassConditionalEnsemble.from_dict(d["ensembles"]),

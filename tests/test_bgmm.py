@@ -92,6 +92,10 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(np.empty((0, 2)), BgmmConfig(), seed=0)
 
+    def test_rejects_zero_dimensions(self):
+        with pytest.raises(ValidationError):
+            fit(np.zeros((5, 0)), BgmmConfig(), seed=0)
+
     def test_weights_on_simplex(self):
         X = two_cluster_data(seed=2)
         for ct in ("spherical", "diagonal", "full"):
@@ -167,12 +171,35 @@ def _record_steps(monkeypatch):
 
     def counted_candidates(state, config, collapse):
         out = candidates(state, config, collapse)
-        calls.append(("move", len(out)))
+        calls.append(("move", 0 if out is None else out.shape[0]))
         return out
 
     monkeypatch.setattr(bgmm, "_step", counted_step)
     monkeypatch.setattr(bgmm, "_merge_candidates", counted_candidates)
     return calls
+
+
+def _moves_after(calls):
+    """From a _record_steps log: the number of plain steps, and the number
+    of plain steps made before each move was tried."""
+    plain = 0
+    moves_after = []
+    scoring = False   # the next step call scores a move's candidates
+    for kind, n in calls:
+        if kind == "move":
+            moves_after.append(plain)
+            scoring = n > 0
+        elif scoring:
+            scoring = False
+        else:
+            plain += 1
+    return plain, moves_after
+
+
+# Two overlapping clusters, 160x4: a diagonal fit (seed 0) accepts merges
+# after plain steps 1, 4 and 7.
+OVERLAPPING_ROWS = np.vstack([np.random.default_rng(28).normal(0.0, 1.0, (80, 4)),
+                              np.random.default_rng(29).normal(2.5, 1.0, (80, 4))])
 
 
 class TestMergeMoves:
@@ -221,18 +248,15 @@ class TestMergeMoves:
         calls = _record_steps(monkeypatch)
         mix, state = fit(STUDENT_T_ROWS, BgmmConfig(max_components=10), seed=0)
         assert state.merges == 0 and mix.metadata["converged"]
-        plain = 0
-        moves_after = []
-        scoring = False   # the next step call scores a move's candidates
-        for kind, n in calls:
-            if kind == "move":
-                moves_after.append(plain)
-                scoring = n > 0
-            elif scoring:
-                scoring = False
-            else:
-                plain += 1
+        plain, moves_after = _moves_after(calls)
         assert plain == len(state.elbo_trace) > 100
+        assert moves_after == list(range(1, plain, bgmm.MERGE_PERIOD)) + [plain]
+
+    def test_accepted_merges_do_not_shift_the_move_schedule(self, monkeypatch):
+        calls = _record_steps(monkeypatch)
+        mix, state = fit(OVERLAPPING_ROWS, BgmmConfig(max_components=10), seed=0)
+        plain, moves_after = _moves_after(calls)
+        assert state.merges == 3 and plain == len(state.elbo_trace) - state.merges
         assert moves_after == list(range(1, plain, bgmm.MERGE_PERIOD)) + [plain]
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 3, 4, 7])
@@ -243,6 +267,67 @@ class TestMergeMoves:
         mix, state = fit(STUDENT_T_ROWS, config, seed=0)
         assert len(state.elbo_trace) == mix.metadata["iterations"] == max_iterations
         assert not mix.metadata["converged"]
+
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_converged_only_after_a_converging_plain_step(self, ct):
+        # the fit of test_first_move_follows_step_one: step 1, the accepted
+        # merge, then a step that converges
+        X = np.random.default_rng(3).normal(size=(300, 8))
+        for max_iterations, converged in ((2, False), (3, True)):
+            config = BgmmConfig(max_components=10, covariance_type=ct,
+                                max_iterations=max_iterations)
+            mix, state = fit(X, config, seed=1)
+            assert len(state.elbo_trace) == max_iterations and state.merges == 1
+            assert state.converged == mix.metadata["converged"] == converged
+
+    def test_merge_after_converging_step_then_cut_is_unconverged(self):
+        # with elbo_tolerance 1, trace entry 11 (plain step 8) converges and
+        # the move tried there is accepted as entry 12
+        for max_iterations, converged in ((12, False), (13, True)):
+            config = BgmmConfig(max_components=10, elbo_tolerance=1.0,
+                                max_iterations=max_iterations)
+            mix, state = fit(OVERLAPPING_ROWS, config, seed=1)
+            trace = state.elbo_trace
+            assert len(trace) == max_iterations and state.merges == 4
+            assert abs(trace[10] - trace[9]) < 1.0
+            assert state.converged == mix.metadata["converged"] == converged
+
+    def test_candidates_none_below_two_live_components(self):
+        resp = np.random.default_rng(0).dirichlet(np.ones(3), size=(1, 20))
+        state = bgmm.VariationalState("diagonal", resp, alpha=np.array([[20.0, 0.01, 0.01]]))
+        config = BgmmConfig(max_components=3)
+        assert bgmm._merge_candidates(state, config, collapse=True) is None
+        assert bgmm._merge_candidates(state, config, collapse=False) is None
+
+    def test_collapse_comes_first_exactly_when_tried(self):
+        resp = np.random.default_rng(0).dirichlet(np.ones(3), size=(1, 20))
+        state = bgmm.VariationalState("diagonal", resp, alpha=np.array([[7.0, 7.0, 7.0]]))
+        config = BgmmConfig(max_components=3)
+        with_collapse = bgmm._merge_candidates(state, config, collapse=True)
+        without = bgmm._merge_candidates(state, config, collapse=False)
+        collapsed = np.zeros((20, 3))
+        collapsed[:, 0] = resp[0].sum(axis=1)
+        assert np.array_equal(with_collapse[0], collapsed)
+        assert np.array_equal(with_collapse[1:], without)
+        assert without.shape == (bgmm.MERGE_PAIRS, 20, 3)
+
+
+class TestRestarts:
+    def test_tie_goes_to_the_first_restart(self, monkeypatch):
+        fit_once = bgmm._fit_once
+        finals = iter([1.0, 5.0, 5.0])
+        states = []
+
+        def tied_fit_once(*args):
+            state = fit_once(*args)
+            state.elbo_trace = [next(finals)]
+            states.append(state)
+            return state
+
+        monkeypatch.setattr(bgmm, "_fit_once", tied_fit_once)
+        mix, state = fit(two_cluster_data(seed=6), BgmmConfig(max_components=4, n_restarts=3), seed=2)
+        assert mix.metadata["restart"] == 1 and mix.metadata["final_elbo"] == 5.0
+        assert state is states[1]
 
 
 class TestStackedStep:
@@ -295,6 +380,11 @@ class TestLogLikelihood:
         mix, _ = fit(two_cluster_data(seed=14), BgmmConfig(max_components=4), seed=1)
         with pytest.raises(ValidationError):
             log_likelihood_batch(mix, [[0.0, 0.0, 0.0]])
+
+    def test_rejects_more_than_two_axes(self):
+        mix, _ = fit(two_cluster_data(seed=14), BgmmConfig(max_components=4), seed=1)
+        with pytest.raises(ValidationError):
+            log_likelihood_batch(mix, np.zeros((2, 2, 2)))
 
     @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
     def test_density_integrates_to_one_1d(self, ct):
@@ -376,12 +466,14 @@ def _plain_fit_once(X, x2, config, pri, rng):
     until the bound moves by less than elbo_tolerance or the trace holds
     max_iterations values. The reference iterations below have no moves, so
     they are compared with this."""
-    state = bgmm._initial_state(X, config, rng)
+    resp = bgmm._init_responsibilities(X, config.max_components, rng)
+    state = bgmm.VariationalState(config.covariance_type, resp[None])
     prev = -np.inf
     for _ in range(config.max_iterations):
         value = float(bgmm._step(X, x2, pri, state)[0])
         state.elbo_trace.append(value)
-        if abs(value - prev) < config.elbo_tolerance:
+        state.converged = abs(value - prev) < config.elbo_tolerance
+        if state.converged:
             break
         prev = value
     return bgmm._take(state, 0)

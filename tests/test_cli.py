@@ -286,7 +286,29 @@ MALFORMED_RESULTS = {
     # a normalizer table that is not an object ended in an AttributeError
     "normalizers=[]": lambda doc: doc["ensembles"]["fusion"].__setitem__("normalizers", []),
     "normalizers='x'": lambda doc: doc["ensembles"]["fusion"].__setitem__("normalizers", "x"),
+    # a joint reference or test sizes of the wrong type or range ended in a
+    # TypeError, an IM outside [-1, 1], or an error that did not name the file
+    "joint_reference=['x', ...]": lambda doc: doc.__setitem__(
+        "joint_reference", ["x"] * len(doc["task_names"])),
+    "joint_reference='ab'": lambda doc: doc.__setitem__("joint_reference", "ab"),
+    "joint_reference=[[0.5], ...]": lambda doc: doc.__setitem__(
+        "joint_reference", [[0.5]] * len(doc["task_names"])),
+    "joint_reference=[2.5, ...]": lambda doc: doc.__setitem__(
+        "joint_reference", [2.5] * len(doc["task_names"])),
+    "joint_reference short": lambda doc: doc.__setitem__("joint_reference", [0.5]),
+    # the sizes keep their sum, which the final prediction row is checked against
+    "per_task_test_sizes=[0, ...]": lambda doc: _move_test_sizes(doc, 0),
+    "per_task_test_sizes=[0.5, ...]": lambda doc: _move_test_sizes(doc, 0.5),
+    "per_task_test_sizes=[n]": lambda doc: doc.__setitem__(
+        "per_task_test_sizes", [sum(doc["per_task_test_sizes"])]),
 }
+
+
+def _move_test_sizes(doc, first):
+    """Set the first test size to first and give the rest to the last."""
+    sizes = doc["per_task_test_sizes"]
+    sizes[-1] += sizes[0] - first
+    sizes[0] = first
 
 
 class TestMetrics:
