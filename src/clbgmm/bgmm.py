@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
@@ -129,7 +130,13 @@ class FittedMixture:
     """Pruned mixture with plug-in weights, means and covariances.
 
     covariances shape per type: (J,) spherical, (J, D) diagonal,
-    (J, D, D) full.
+    (J, D, D) full. A full covariance is symmetric, mirrored from its lower
+    triangle, and to_dict writes only that triangle: packed (J, D(D+1)/2)
+    in row-major lower order, (0,0), (1,0), (1,1), (2,0), ... from_dict
+    reads the packed layout and the older (J, D, D) one, whose upper
+    triangle it ignores, and checks every shape. A mixture is frozen once
+    fitted, so the Cholesky factor of its full covariances is computed once,
+    when it is first scored.
     """
 
     weights: np.ndarray
@@ -146,11 +153,20 @@ class FittedMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
+    @cached_property
+    def _cholesky(self) -> tuple[np.ndarray, np.ndarray]:
+        """_factor of the full covariances: their lower Cholesky factors and
+        the factors' inverses."""
+        return _factor(self.covariances, "covariance")
+
     def to_dict(self) -> dict:
+        cov = self.covariances
+        if self.covariance_type == "full":
+            cov = _pack_lower(cov)
         return {
             "weights": self.weights.tolist(),
             "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
+            "covariances": cov.tolist(),
             "covariance_type": self.covariance_type,
             "metadata": self.metadata,
         }
@@ -160,13 +176,28 @@ class FittedMixture:
 
     @staticmethod
     def from_dict(d: dict) -> "FittedMixture":
-        return FittedMixture(
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            means=np.asarray(d["means"], dtype=np.float64),
-            covariances=np.asarray(d["covariances"], dtype=np.float64),
-            covariance_type=str(d["covariance_type"]),
-            metadata=dict(d["metadata"]),
-        )
+        """Rebuild a mixture; an unknown covariance type, or weights, means or
+        covariances whose shapes do not fit one another, raise
+        ValidationError."""
+        ct = d["covariance_type"]
+        if ct not in COVARIANCE_TYPES:
+            raise ValidationError(f"unknown covariance_type {ct!r}")
+        weights, means, cov = (np.asarray(d[key], dtype=np.float64)
+                               for key in ("weights", "means", "covariances"))
+        j = len(weights) if weights.ndim == 1 else 0
+        dim = means.shape[1] if means.ndim == 2 else 0
+        shapes = {"spherical": [(j,)], "diagonal": [(j, dim)],
+                  "full": [(j, dim * (dim + 1) // 2), (j, dim, dim)]}[ct]
+        if not (j and dim and means.shape == (j, dim) and cov.shape in shapes):
+            needed = {"spherical": "(J,)", "diagonal": "(J, D)",
+                      "full": "(J, D(D+1)/2) or (J, D, D)"}[ct]
+            raise ValidationError(
+                f"{ct} mixture with weights {weights.shape}, means {means.shape} and "
+                f"covariances {cov.shape}: needs (J,) with J >= 1, (J, D) and {needed}")
+        if ct == "full":
+            cov = _unpack_lower(_pack_lower(cov) if cov.ndim == 3 else cov, dim)
+        return FittedMixture(weights=weights, means=means, covariances=cov,
+                             covariance_type=ct, metadata=dict(d["metadata"]))
 
 
 @dataclass
@@ -231,6 +262,22 @@ def _factor(mats: np.ndarray, what: str):
         low[k] = c
         low_inv[k] = dtrtri(c, lower=1)[0]
     return low.reshape(mats.shape), low_inv.reshape(mats.shape)
+
+
+def _pack_lower(mats: np.ndarray) -> np.ndarray:
+    """The lower triangles of a (J, D, D) stack, packed (J, D(D+1)/2) in
+    row-major order: (0,0), (1,0), (1,1), (2,0), ..."""
+    return mats[:, np.tri(mats.shape[1], dtype=bool)]
+
+
+def _unpack_lower(packed: np.ndarray, d: int) -> np.ndarray:
+    """(J, D, D) symmetric matrices from their packed lower triangles (see
+    _pack_lower)."""
+    low = np.tri(d, dtype=bool)
+    out = np.empty((len(packed), d, d))
+    out[:, low] = packed
+    out.swapaxes(1, 2)[:, low] = packed
+    return out
 
 
 def _centred_quad(X: np.ndarray, means: np.ndarray, low_inv: np.ndarray) -> np.ndarray:
@@ -540,7 +587,8 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
     """Prune the state and return its posterior-mean mixture: weights
     renormalised over the kept components, means moved back by the data
     mean, and covariances with variances (eigenvalues, for full) floored at
-    variance_floor."""
+    variance_floor. A full covariance is mirrored from its lower triangle,
+    the one that _factor reads and to_dict writes."""
     weights = state.expected_weights()
     keep = weights >= config.prune_threshold
     fallback = False
@@ -562,6 +610,7 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
         # inverse of the posterior-mean precision dof * W
         vals, vecs = np.linalg.eigh(state.w_inv[keep] / state.dof[keep][:, None, None])
         cov = (vecs * np.maximum(vals, floor)[:, None, :]) @ vecs.transpose(0, 2, 1)
+        cov = _unpack_lower(_pack_lower(cov), cov.shape[1])
 
     meta = {
         "final_elbo": state.elbo_trace[-1],
@@ -628,7 +677,7 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
         prec, mc = 1.0 / var, m - ref
         quad = _diag_quad(xc, xc ** 2, prec, mc, (prec * mc ** 2).sum(axis=1))
         return -0.5 * (d * LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad)
-    low, low_inv = _factor(mix.covariances, "covariance")
+    low, low_inv = mix._cholesky
     quad = _centred_quad(X, m, low_inv)
     logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
     return -0.5 * (d * LOG_2PI + logdet[None, :] + quad)

@@ -93,7 +93,10 @@ class ClassConditionalEnsemble:
             class_train_counts=dict(d.get("class_train_counts", {})),
         )
         for label, mix_dict in d["models"]:
-            ens.models[label] = FittedMixture.from_dict(mix_dict)
+            try:
+                ens.models[label] = FittedMixture.from_dict(mix_dict)
+            except ValidationError as exc:
+                raise ValidationError(f"class {label!r}: {exc}") from exc
         return ens
 
 

@@ -37,6 +37,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _list_of(values, n: int, valid) -> bool:
     """Whether values is a list of n entries that each pass valid."""
     return isinstance(values, list) and len(values) == n and all(map(valid, values))
@@ -72,10 +76,16 @@ class RunResult:
     def from_dict(d: dict) -> "RunResult":
         """Rebuild a result; a field of the wrong type or range raises
         ValueError, TypeError or ValidationError."""
-        matrix = AccuracyMatrix.from_rows(d["accuracy_matrix"], d["task_names"])
+        seed = d["seed"]
+        if not _is_integer(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        entries = d["accuracy_matrix"]
+        if not all(isinstance(row, list) and all(map(_is_number, row)) for row in entries):
+            raise ValueError("accuracy_matrix entries must be numbers")
+        matrix = AccuracyMatrix.from_rows(entries, d["task_names"])
         t = matrix.n_tasks
         sizes = d["per_task_test_sizes"]
-        if not _list_of(sizes, t, lambda s: isinstance(s, int) and not isinstance(s, bool) and s > 0):
+        if not _list_of(sizes, t, lambda s: _is_integer(s) and s > 0):
             raise ValueError(f"per_task_test_sizes must be {t} positive integers")
         refs = d.get("joint_reference")
         if refs is not None and not _list_of(refs, t, lambda a: _is_number(a) and 0.0 <= a <= 1.0):
@@ -89,7 +99,7 @@ class RunResult:
             per_task_test_sizes=list(sizes),
             joint_reference_accuracies=refs,
             manifest_echo=dict(d["config"]),
-            seed=int(d["seed"]),
+            seed=seed,
             ensemble=ClassConditionalEnsemble.from_dict(d["ensembles"]),
         )
 

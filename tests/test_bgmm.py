@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -196,6 +197,13 @@ def _moves_after(calls):
     return plain, moves_after
 
 
+def two_scaled_clusters():
+    """160x3: two unit clusters, centres 0 and 6, each column scaled."""
+    rng = np.random.default_rng(12)
+    return np.vstack([rng.normal(c, 1.0, size=(80, 3)) for c in (0.0, 6.0)]) \
+        * rng.uniform(0.5, 2.0, 3)
+
+
 # Two overlapping clusters, 160x4: a diagonal fit (seed 0) accepts merges
 # after plain steps 1, 4 and 7.
 OVERLAPPING_ROWS = np.vstack([np.random.default_rng(28).normal(0.0, 1.0, (80, 4)),
@@ -310,6 +318,26 @@ class TestMergeMoves:
         assert np.array_equal(with_collapse[0], collapsed)
         assert np.array_equal(with_collapse[1:], without)
         assert without.shape == (bgmm.MERGE_PAIRS, 20, 3)
+
+    def test_best_candidate_wins_over_a_collapse_that_raises_the_bound(self, monkeypatch):
+        # at the first move of this full fit the collapse raises the bound,
+        # but a pair raises it more; taking the first candidate that raises
+        # the bound ("first improvement") would end with one component
+        bounds = []
+        step = bgmm._step
+
+        def recorded_step(X, x2, pri, state):
+            bounds.append(step(X, x2, pri, state))
+            return bounds[-1]
+
+        monkeypatch.setattr(bgmm, "_step", recorded_step)
+        mix, state = fit(two_scaled_clusters(), BgmmConfig(max_components=6, covariance_type="full"),
+                         seed=1)
+        first, move = bounds[0][0], bounds[1]
+        assert len(move) > 1 and move[0] > first
+        assert np.argmax(move) > 0
+        assert state.elbo_trace[:2] == [first, move.max()]
+        assert mix.n_components == 2
 
 
 class TestRestarts:
@@ -755,6 +783,57 @@ class TestSingleFactorAlgebra:
             e_step, rtol=0, atol=1e-8)
 
 
+class TestFullCovarianceStorage:
+    def test_file_round_trip_is_exact_and_symmetric(self):
+        _, mix, _, _ = _fitted_full_state()
+        loaded = FittedMixture.from_dict(json.loads(mix.to_bytes()))
+        assert np.array_equal(loaded.covariances, mix.covariances)
+        for cov in (mix.covariances, loaded.covariances):
+            assert np.array_equal(cov, cov.transpose(0, 2, 1))
+
+    def test_file_holds_the_lower_triangle_in_row_major_order(self):
+        cov = np.array([[[1.0, 2.0, 4.0], [2.0, 3.0, 5.0], [4.0, 5.0, 6.0]]])
+        mix = FittedMixture(weights=np.ones(1), means=np.zeros((1, 3)), covariances=cov,
+                            covariance_type="full", metadata={})
+        assert mix.to_dict()["covariances"] == [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
+        assert np.array_equal(FittedMixture.from_dict(mix.to_dict()).covariances, cov)
+
+    def test_plug_in_lower_triangle_is_the_eigh_floor_product(self):
+        _, _, state, pri = _fitted_full_state()
+        config = BgmmConfig(max_components=4, covariance_type="full")
+        got = bgmm._plug_in(state, config, pri, seed=0, restart=0).covariances
+        # the plug-in as it was before it mirrored the lower triangle
+        keep = state.expected_weights() >= config.prune_threshold
+        vals, vecs = np.linalg.eigh(state.w_inv[keep] / state.dof[keep][:, None, None])
+        ref = (vecs * np.maximum(vals, config.variance_floor)[:, None, :]) @ vecs.transpose(0, 2, 1)
+        assert not np.array_equal(ref, ref.transpose(0, 2, 1))
+        assert np.array_equal(np.tril(got), np.tril(ref))
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+
+    def test_scoring_factors_each_mixture_once(self, monkeypatch):
+        factored = []
+        factor = bgmm._factor
+
+        def counted_factor(mats, what):
+            if what == "covariance":
+                factored.append(id(mats))
+            return factor(mats, what)
+
+        monkeypatch.setattr(bgmm, "_factor", counted_factor)
+        ta, tb, tasks = generate_synthetic(SyntheticConfig(n_basic_classes=3,
+                                                           n_compound_classes=3), 1)
+        manifest = ExperimentManifest(
+            tasks=tuple(tasks),
+            modalities=(ModalitySpec("mod_a", "", 2, True), ModalitySpec("mod_b", "", 2, False)),
+            fusion_strategy="concat",
+            bgmm_config=BgmmConfig(max_components=4, covariance_type="full"),
+            seeds=(1,), output_path="out")
+        models = run_continual(manifest, [ta, tb], seed=1).ensemble.models
+        # every mixture is scored against the test set of each task from its own on
+        assert len(tasks) > 1
+        assert sorted(factored) == sorted(id(mix.covariances) for mix in models.values())
+
+
 class TestShiftInvariance:
     # every fit runs on rows centred on the data mean, so a constant shift of
     # the data moves only the means; an uncentred scatter loses the variance
@@ -763,9 +842,7 @@ class TestShiftInvariance:
     @pytest.mark.parametrize("offset", [1e4, 1e8])
     @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
     def test_fit_commutes_with_a_constant_shift(self, ct, offset):
-        rng = np.random.default_rng(12)
-        X = np.vstack([rng.normal(c, 1.0, size=(80, 3)) for c in (0.0, 6.0)]) \
-            * rng.uniform(0.5, 2.0, 3)
+        X = two_scaled_clusters()
         config = BgmmConfig(max_components=6, covariance_type=ct)
         mix, state = fit(X, config, seed=1)
         shifted, shifted_state = fit(X + offset, config, seed=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,9 +6,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clbgmm
+from clbgmm.bgmm import log_likelihood_batch
 from clbgmm.cli import main
 from clbgmm.dataset import build_task_sequence, load_feature_table, manifest_to_dict, parse_manifest
 from clbgmm.ensemble import ClassConditionalEnsemble, predict_batch
@@ -301,7 +304,38 @@ MALFORMED_RESULTS = {
     "per_task_test_sizes=[0.5, ...]": lambda doc: _move_test_sizes(doc, 0.5),
     "per_task_test_sizes=[n]": lambda doc: doc.__setitem__(
         "per_task_test_sizes", [sum(doc["per_task_test_sizes"])]),
+    # a seed or an accuracy of another JSON type was coerced: 3.7 loaded as
+    # 3, true as 1 and "1.0" as 1.0
+    "seed=3.7": lambda doc: doc.__setitem__("seed", 3.7),
+    "seed=true": lambda doc: doc.__setitem__("seed", True),
+    "accuracy='1.0'": lambda doc: doc["accuracy_matrix"][0].__setitem__(0, "1.0"),
+    "accuracy=true": lambda doc: doc["accuracy_matrix"][0].__setitem__(0, True),
+    # a class model (diagonal, 4-dim) whose arrays do not fit one another
+    # loaded, and scoring it would have broadcast
+    "covariances=[[1.0]]": lambda doc: _first_model(doc).__setitem__("covariances", [[1.0]]),
+    "covariance_type='banana'": lambda doc: _first_model(doc).__setitem__(
+        "covariance_type", "banana"),
+    "weights=[]": lambda doc: _first_model(doc).__setitem__("weights", []),
+    "weights=[[...]]": lambda doc: _first_model(doc).__setitem__(
+        "weights", [_first_model(doc)["weights"]]),
+    "means one column short": lambda doc: [row.pop() for row in _first_model(doc)["means"]],
+    "full, packed row one short": lambda doc: _make_full(
+        doc, lambda d: [1.0] * (d * (d + 1) // 2 - 1)),
+    "full, (J, D)": lambda doc: _make_full(doc, lambda d: [1.0] * d),
+    "full, (J, D, D - 1)": lambda doc: _make_full(doc, lambda d: [[1.0] * (d - 1)] * d),
 }
+
+
+def _first_model(doc):
+    return doc["ensembles"]["models"][0][1]
+
+
+def _make_full(doc, covariance):
+    """Make the first class model a full one; covariance(D) gives each
+    component's covariance."""
+    model = _first_model(doc)
+    model["covariance_type"] = "full"
+    model["covariances"] = [covariance(len(model["means"][0])) for _ in model["weights"]]
 
 
 def _move_test_sizes(doc, first):
@@ -620,6 +654,52 @@ class TestOldLayout:
         assert main(["inspect", "--results", a]) == 0
         out["inspect"] = capsys.readouterr().out
         return out
+
+    @pytest.fixture
+    def full_layouts(self, synth_dir, tmp_path):
+        """A full-covariance run as the current file holds it (packed lower
+        triangles) and as older files held it: (J, D, D), with the upper
+        triangle off the lower one by about 1e-12 relative."""
+        manifest = parse_manifest((synth_dir / "manifest.json").read_text())
+        manifest = dataclasses.replace(
+            manifest, bgmm_config=dataclasses.replace(manifest.bgmm_config, covariance_type="full"))
+        tables = [load_feature_table(s.path, s.dim, s.name) for s in manifest.modalities]
+        rng = np.random.default_rng(0)
+        for name in ("old_full", "new_full"):
+            (tmp_path / name).mkdir()
+        for seed in (1, 2):
+            new = tmp_path / "new_full" / f"run_seed{seed}.json"
+            save_run_result(run_continual(manifest, tables, seed), new)
+            doc = json.loads(new.read_text())
+            for _, model in doc["ensembles"]["models"]:
+                d = len(model["means"][0])
+                packed = np.array(model["covariances"])
+                assert packed.shape == (len(model["weights"]), d * (d + 1) // 2)
+                cov = np.zeros((len(packed), d, d))
+                cov[:, np.tri(d, dtype=bool)] = packed
+                upper = np.tril(cov, -1).transpose(0, 2, 1)
+                cov += upper * (1.0 + rng.uniform(-1e-12, 1e-12, upper.shape))
+                assert not np.array_equal(cov, cov.transpose(0, 2, 1))
+                model["covariances"] = cov.tolist()
+            (tmp_path / "old_full" / new.name).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        return manifest, tables, tmp_path / "old_full", tmp_path / "new_full"
+
+    def test_old_full_covariance_file_scores_identically(self, full_layouts):
+        manifest, tables, old, new = full_layouts
+        old_models = load_run_result(old / "run_seed1.json").ensemble.models
+        new_ens = load_run_result(new / "run_seed1.json").ensemble
+        rows = np.vstack([new_ens.fusion.transform(b.test.features)
+                          for b in build_task_sequence(manifest, tables)])
+        assert list(old_models) == list(new_ens.models)
+        for label, mix in new_ens.models.items():
+            assert np.array_equal(old_models[label].covariances, mix.covariances)
+            assert np.array_equal(log_likelihood_batch(old_models[label], rows),
+                                  log_likelihood_batch(mix, rows))
+
+    def test_old_full_covariance_file_gives_identical_output(self, full_layouts, tmp_path,
+                                                             capsys):
+        _, _, old, new = full_layouts
+        assert self.outputs(old, tmp_path, capsys) == self.outputs(new, tmp_path, capsys)
 
     def test_old_file_loads_final_row(self, layouts):
         old, _, new = layouts
