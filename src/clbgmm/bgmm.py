@@ -134,9 +134,10 @@ class FittedMixture:
     triangle, and to_dict writes only that triangle: packed (J, D(D+1)/2)
     in row-major lower order, (0,0), (1,0), (1,1), (2,0), ... from_dict
     reads the packed layout and the older (J, D, D) one, whose upper
-    triangle it ignores, and checks every shape. A mixture is frozen once
-    fitted, so the Cholesky factor of its full covariances is computed once,
-    when it is first scored.
+    triangle it ignores, and checks every shape and value. A mixture is
+    frozen once fitted, so the Cholesky factor of its full covariances is
+    computed once: when it is first scored, or by from_dict, which checks
+    that every covariance factors.
     """
 
     weights: np.ndarray
@@ -176,8 +177,10 @@ class FittedMixture:
 
     @staticmethod
     def from_dict(d: dict) -> "FittedMixture":
-        """Rebuild a mixture; an unknown covariance type, or weights, means or
-        covariances whose shapes do not fit one another, raise
+        """Rebuild a mixture; an unknown covariance type, weights, means or
+        covariances whose shapes do not fit one another, weights that are not
+        a probability vector, means that are not finite, and variances or
+        full covariances that are not positive (definite) raise
         ValidationError."""
         ct = d["covariance_type"]
         if ct not in COVARIANCE_TYPES:
@@ -194,10 +197,23 @@ class FittedMixture:
             raise ValidationError(
                 f"{ct} mixture with weights {weights.shape}, means {means.shape} and "
                 f"covariances {cov.shape}: needs (J,) with J >= 1, (J, D) and {needed}")
+        if not (np.isfinite(weights).all() and (weights > 0).all()
+                and abs(weights.sum() - 1.0) <= 1e-9):
+            raise ValidationError(f"weights must be positive and sum to 1, got {weights.tolist()}")
+        if not np.isfinite(means).all():
+            raise ValidationError("means must be finite")
         if ct == "full":
             cov = _unpack_lower(_pack_lower(cov) if cov.ndim == 3 else cov, dim)
-        return FittedMixture(weights=weights, means=means, covariances=cov,
-                             covariance_type=ct, metadata=dict(d["metadata"]))
+        elif not (np.isfinite(cov).all() and (cov > 0).all()):
+            raise ValidationError("variances must be finite and positive")
+        mix = FittedMixture(weights=weights, means=means, covariances=cov,
+                            covariance_type=ct, metadata=dict(d["metadata"]))
+        if ct == "full":
+            try:
+                mix._cholesky  # factors the covariances once; scoring reuses the factor
+            except NumericalError as exc:
+                raise ValidationError(str(exc)) from exc
+        return mix
 
 
 @dataclass
@@ -627,7 +643,8 @@ def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
 
 
 def fit(data, config: BgmmConfig, seed: int):
-    """Fit a variational mixture; returns (FittedMixture, VariationalState).
+    """Fit a variational mixture to the rows of a non-empty (N, D) matrix;
+    returns (FittedMixture, VariationalState).
 
     Deterministic for fixed (data, config, seed). With n_restarts > 1 the
     restart with the highest final ELBO wins; ties go to the lowest index.
@@ -636,10 +653,8 @@ def fit(data, config: BgmmConfig, seed: int):
     """
     config.validate()
     X = np.asarray(data, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2 or 0 in X.shape:
-        raise ValidationError("data must be a non-empty list of equal-length, non-empty vectors")
+        raise ValidationError(f"data must be a non-empty (N, D) matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValidationError("data contains non-finite values")
 
@@ -684,8 +699,8 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
 
 
 def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
-    """Mixture log density for a batch of points, via log-sum-exp."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """Mixture log density of each row of an (N, D) matrix, via log-sum-exp."""
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != mix.dim:
         raise ValidationError(f"shape mismatch: got {X.shape}, mixture expects rows of {mix.dim}")
     scores = _component_log_density(mix, X) + np.log(mix.weights)[None, :]

@@ -10,6 +10,7 @@ output path.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import json
@@ -112,9 +113,6 @@ class ExperimentManifest:
             if self.seeds.count(seed) > 1:
                 raise ValidationError(f"seed {seed} is listed more than once")
 
-    def class_to_task(self) -> dict:
-        return {label: i for i, task in enumerate(self.tasks) for label in task.class_labels}
-
 
 @dataclass(frozen=True)
 class DataSplit:
@@ -163,9 +161,10 @@ class SyntheticConfig:
 
 
 def read_utf8(path) -> str:
-    """The text of a UTF-8 file; an undecodable byte raises ValidationError
-    naming the file and line."""
-    data = Path(path).read_bytes()
+    """The text of a UTF-8 file, without a leading byte-order mark; an
+    undecodable byte raises ValidationError naming the file and line."""
+    # stripped here, not by the utf-8-sig codec, so that an error's offset indexes data
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -321,8 +320,8 @@ def load_feature_table(path, expected_dim: int, modality_name: str | None = None
 
 
 def _records(path: Path):
-    """The CSV records of a UTF-8 file."""
-    with path.open(newline="", encoding="utf-8") as handle:
+    """The CSV records of a UTF-8 file, without a leading byte-order mark."""
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         try:
             yield from csv.reader(handle)
         except UnicodeDecodeError:
@@ -401,7 +400,7 @@ def build_task_sequence(manifest: ExperimentManifest, tables) -> list:
             )
         aligned.append(table.values[rows])
 
-    owner = manifest.class_to_task()
+    owner = {label: i for i, task in enumerate(manifest.tasks) for label in task.class_labels}
     task_of = np.array([owner.get(label, -1) for label in primary.class_labels], dtype=np.intp)
     if (task_of < 0).any():
         label = primary.class_labels[np.argmin(task_of)]
@@ -466,9 +465,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
         * config.modality_bias
 
     names = basic_names + compound_names
-    means_a = np.vstack([basic_means_a, compound_means_a]) if n_compound else basic_means_a
-    means_b = np.vstack([np.zeros((n_basic, config.dim_b)), compound_means_b]) \
-        if n_compound else np.zeros((n_basic, config.dim_b))
+    means_a = np.vstack([basic_means_a, compound_means_a])
+    means_b = np.vstack([np.zeros((n_basic, config.dim_b)), compound_means_b])
 
     ids, labels, splits, clouds_a, clouds_b = [], [], [], [], []
     for c, name in enumerate(names):

@@ -20,53 +20,44 @@ class MinMaxNormalizer:
 
     per_dim_min: np.ndarray
     per_dim_max: np.ndarray
-    fitted_on: str
-
-    @property
-    def dim(self) -> int:
-        return self.per_dim_min.shape[0]
 
     def to_dict(self) -> dict:
         return {
             "per_dim_min": self.per_dim_min.tolist(),
             "per_dim_max": self.per_dim_max.tolist(),
-            "fitted_on": self.fitted_on,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "MinMaxNormalizer":
+        """Rebuild a normalizer; the fitted_on key of older files is ignored."""
         return MinMaxNormalizer(
             per_dim_min=np.asarray(d["per_dim_min"], dtype=np.float64),
             per_dim_max=np.asarray(d["per_dim_max"], dtype=np.float64),
-            fitted_on=str(d["fitted_on"]),
         )
 
 
-def fit_normalizer(vectors, task_name: str) -> MinMaxNormalizer:
+def fit_normalizer(vectors) -> MinMaxNormalizer:
     """Compute componentwise min/max over the rows of a non-empty (N, D) matrix."""
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.size == 0 or arr.ndim != 2:
         raise ValidationError("fit_normalizer needs a non-empty (N, D) matrix")
-    return MinMaxNormalizer(
-        per_dim_min=arr.min(axis=0),
-        per_dim_max=arr.max(axis=0),
-        fitted_on=task_name,
-    )
+    return MinMaxNormalizer(per_dim_min=arr.min(axis=0), per_dim_max=arr.max(axis=0))
 
 
 def apply_normalizer(norm: MinMaxNormalizer, v) -> np.ndarray:
-    """Scale a (D,) vector or the rows of an (N, D) matrix into [0, 1] with
-    clamping; zero-range dimensions map to 0."""
+    """Scale the rows of an (N, D) matrix into [0, 1] with clamping;
+    zero-range dimensions map to 0."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[-1:] != norm.per_dim_min.shape:
+    if v.ndim != 2 or v.shape[1:] != norm.per_dim_min.shape:
         raise ValidationError(
             f"dimension mismatch: input has {v.shape}, normalizer expects {norm.per_dim_min.shape}"
         )
+    # masked, so a zero-range column is never subtracted from or divided
     span = norm.per_dim_max - norm.per_dim_min
-    out = np.zeros_like(v)
     nonzero = span > 0
-    out[..., nonzero] = (v[..., nonzero] - norm.per_dim_min[nonzero]) / span[nonzero]
-    return np.clip(out, 0.0, 1.0)
+    out = np.subtract(v, norm.per_dim_min, out=np.zeros_like(v), where=nonzero)
+    np.divide(out, span, out=out, where=nonzero)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def fuse(parts) -> np.ndarray:

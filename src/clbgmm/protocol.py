@@ -62,7 +62,6 @@ class RunResult:
         return {
             "config": self.manifest_echo,
             "seed": self.seed,
-            "task_names": list(self.matrix.task_names),
             "accuracy_matrix": self.matrix.to_list(),
             "per_task_predictions": [
                 [[sid, truth, pred] for sid, truth, pred in self.per_task_predictions[-1]]
@@ -75,14 +74,16 @@ class RunResult:
     @staticmethod
     def from_dict(d: dict) -> "RunResult":
         """Rebuild a result; a field of the wrong type or range raises
-        ValueError, TypeError or ValidationError."""
+        ValueError, TypeError or ValidationError. The task names come from
+        config; the task_names key of older files repeats them and is
+        ignored."""
         seed = d["seed"]
         if not _is_integer(seed):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         entries = d["accuracy_matrix"]
         if not all(isinstance(row, list) and all(map(_is_number, row)) for row in entries):
             raise ValueError("accuracy_matrix entries must be numbers")
-        matrix = AccuracyMatrix.from_rows(entries, d["task_names"])
+        matrix = AccuracyMatrix.from_rows(entries, [t["name"] for t in d["config"]["tasks"]])
         t = matrix.n_tasks
         sizes = d["per_task_test_sizes"]
         if not _list_of(sizes, t, lambda s: _is_integer(s) and s > 0):
@@ -133,7 +134,7 @@ def _build_fusion(manifest: ExperimentManifest, first_batch: TaskBatch) -> Fusio
     return FusionPipeline(
         modality_order=tuple(spec.name for spec in manifest.modalities),
         normalizers={
-            spec.name: fit_normalizer(features[spec.name], first_batch.name) if spec.normalize else None
+            spec.name: fit_normalizer(features[spec.name]) if spec.normalize else None
             for spec in manifest.modalities
         },
     )
@@ -167,8 +168,7 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
         rows.append([accuracy(task_preds, labels)
                      for task_preds, (_, labels, _, _) in zip(preds, test_sets)])
 
-    task_names = tuple(t.name for t in manifest.tasks)
-    acc_matrix = AccuracyMatrix.from_rows(rows, task_names)
+    acc_matrix = AccuracyMatrix.from_rows(rows, [t.name for t in manifest.tasks])
 
     # the joint model for tasks 1..k is the continual model after task k
     joint_refs = [row[-1] for row in rows] if compute_joint_reference else None

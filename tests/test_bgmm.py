@@ -97,6 +97,11 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(np.zeros((5, 0)), BgmmConfig(), seed=0)
 
+    def test_rejects_a_vector(self):
+        # one column of N rows is (N, 1); a (N,) vector is not read as one
+        with pytest.raises(ValidationError, match=r"non-empty \(N, D\) matrix, got shape \(5,\)"):
+            fit(np.arange(5.0), BgmmConfig(), seed=0)
+
     def test_weights_on_simplex(self):
         X = two_cluster_data(seed=2)
         for ct in ("spherical", "diagonal", "full"):
@@ -408,6 +413,11 @@ class TestLogLikelihood:
         mix, _ = fit(two_cluster_data(seed=14), BgmmConfig(max_components=4), seed=1)
         with pytest.raises(ValidationError):
             log_likelihood_batch(mix, [[0.0, 0.0, 0.0]])
+
+    def test_rejects_a_vector(self):
+        mix, _ = fit(two_cluster_data(seed=14), BgmmConfig(max_components=4), seed=1)
+        with pytest.raises(ValidationError, match=r"shape mismatch: got \(2,\)"):
+            log_likelihood_batch(mix, [0.0, 0.0])
 
     def test_rejects_more_than_two_axes(self):
         mix, _ = fit(two_cluster_data(seed=14), BgmmConfig(max_components=4), seed=1)
@@ -792,10 +802,11 @@ class TestFullCovarianceStorage:
             assert np.array_equal(cov, cov.transpose(0, 2, 1))
 
     def test_file_holds_the_lower_triangle_in_row_major_order(self):
-        cov = np.array([[[1.0, 2.0, 4.0], [2.0, 3.0, 5.0], [4.0, 5.0, 6.0]]])
+        # positive definite, since from_dict factors it
+        cov = np.array([[[10.0, 2.0, 4.0], [2.0, 30.0, 5.0], [4.0, 5.0, 60.0]]])
         mix = FittedMixture(weights=np.ones(1), means=np.zeros((1, 3)), covariances=cov,
                             covariance_type="full", metadata={})
-        assert mix.to_dict()["covariances"] == [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
+        assert mix.to_dict()["covariances"] == [[10.0, 2.0, 30.0, 4.0, 5.0, 60.0]]
         assert np.array_equal(FittedMixture.from_dict(mix.to_dict()).covariances, cov)
 
     def test_plug_in_lower_triangle_is_the_eigh_floor_product(self):

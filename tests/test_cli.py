@@ -1,4 +1,6 @@
+import codecs
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -74,13 +76,23 @@ class TestSynth:
         assert main(["run", "--manifest", "../data/manifest.json"]) == 0
         assert (tmp_path / "data" / "results_seed1.json").exists()
 
+    def test_no_compound_classes_writes_the_known_bytes(self, tmp_path):
+        # the digests of this command's files from when the generator skipped
+        # stacking the empty (0, D) block of compound means
+        assert main(["synth", "--out", str(tmp_path), "--basic", "3", "--compound", "0",
+                     "--per-class-train", "4", "--per-class-test", "2", "--seed", "1"]) == 0
+        assert {name: hashlib.sha256(read(tmp_path / name)).hexdigest()
+                for name in ("mod_a.csv", "mod_b.csv")} == {
+            "mod_a.csv": "42baf50781e38278244a70c595d3e880e7513ff73a748324a283a916d6c18f04",
+            "mod_b.csv": "76c745bdef01fe83dc9a6cf9910964541f3d6540c66479a05711d29f6f49ee08"}
+
     def test_manifest_is_a_fixed_point_of_the_parser(self, synth_dir):
         text = (synth_dir / "manifest.json").read_text()
         assert manifest_to_dict(parse_manifest(text)) == json.loads(text)
 
 
-# field named in the error (the id up to any "=") -> a change that gives it
-# the wrong shape
+# field or rule named in the error (the id up to any "=") -> a change that
+# gives the manifest the wrong shape
 MALFORMED_MANIFESTS = {
     "seeds": lambda m: m.__setitem__("seeds", ["x"]),
     "dim": lambda m: m["modalities"][0].__setitem__("dim", "x"),
@@ -109,6 +121,11 @@ MALFORMED_MANIFESTS = {
     "bgmm=null": lambda m: m.__setitem__("bgmm", None),
     "fusion=''": lambda m: m.__setitem__("fusion", ""),
     "fusion=null": lambda m: m.__setitem__("fusion", None),
+    "at least one task=[]": lambda m: m.__setitem__("tasks", []),
+    "at least one seed=[]": lambda m: m.__setitem__("seeds", []),
+    "unsupported fusion strategy 'sum'": lambda m: m.__setitem__("fusion", {"strategy": "sum"}),
+    "task 0: missing required field 'name' or 'classes'": lambda m: m["tasks"][0].pop("name"),
+    "modality 1: missing required field 'path'": lambda m: m["modalities"][1].pop("path"),
 }
 
 
@@ -144,6 +161,33 @@ class TestRun:
         ])
         assert main(["run", "--manifest", manifest]) == 2
         assert "task 't2' has no test samples" in capsys.readouterr().err
+
+    def test_class_without_training_samples_exits_2(self, tmp_path, capsys):
+        manifest = self.write_dataset(tmp_path, [
+            "a1,A,train,0.0", "a2,A,train,0.5", "a3,A,test,0.2", "b1,B,test,5.0",
+        ])
+        assert main(["run", "--manifest", manifest]) == 2
+        assert capsys.readouterr().err == "error: class 'B' has no training samples\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        ("id,class,split,f_0\na1,A,train,0.0\n", "header must start with sample_id,class,split"),
+    ], ids=["empty", "header"])
+    def test_bad_feature_file_exits_2(self, tmp_path, capsys, text, message):
+        manifest = self.write_dataset(tmp_path, [])
+        (tmp_path / "m.csv").write_text(text)
+        assert main(["run", "--manifest", manifest]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'm.csv'}: {message}\n"
+
+    def test_byte_order_marks_give_the_same_result_files(self, synth_dir, tmp_path):
+        # spreadsheet tools save "CSV UTF-8" with a leading byte-order mark
+        manifest = synth_dir / "manifest.json"
+        assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "plain")]) == 0
+        for path in (manifest, synth_dir / "mod_a.csv", synth_dir / "mod_b.csv"):
+            path.write_bytes(codecs.BOM_UTF8 + read(path))
+        assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "marked")]) == 0
+        for name in ("seed1", "aggregate"):
+            assert read(tmp_path / f"marked_{name}.json") == read(tmp_path / f"plain_{name}.json")
 
     def test_non_finite_feature_exits_2(self, tmp_path, capsys):
         manifest = self.write_dataset(tmp_path, [
@@ -292,12 +336,12 @@ MALFORMED_RESULTS = {
     # a joint reference or test sizes of the wrong type or range ended in a
     # TypeError, an IM outside [-1, 1], or an error that did not name the file
     "joint_reference=['x', ...]": lambda doc: doc.__setitem__(
-        "joint_reference", ["x"] * len(doc["task_names"])),
+        "joint_reference", ["x"] * len(doc["config"]["tasks"])),
     "joint_reference='ab'": lambda doc: doc.__setitem__("joint_reference", "ab"),
     "joint_reference=[[0.5], ...]": lambda doc: doc.__setitem__(
-        "joint_reference", [[0.5]] * len(doc["task_names"])),
+        "joint_reference", [[0.5]] * len(doc["config"]["tasks"])),
     "joint_reference=[2.5, ...]": lambda doc: doc.__setitem__(
-        "joint_reference", [2.5] * len(doc["task_names"])),
+        "joint_reference", [2.5] * len(doc["config"]["tasks"])),
     "joint_reference short": lambda doc: doc.__setitem__("joint_reference", [0.5]),
     # the sizes keep their sum, which the final prediction row is checked against
     "per_task_test_sizes=[0, ...]": lambda doc: _move_test_sizes(doc, 0),
@@ -323,6 +367,20 @@ MALFORMED_RESULTS = {
         doc, lambda d: [1.0] * (d * (d + 1) // 2 - 1)),
     "full, (J, D)": lambda doc: _make_full(doc, lambda d: [1.0] * d),
     "full, (J, D, D - 1)": lambda doc: _make_full(doc, lambda d: [[1.0] * (d - 1)] * d),
+    # a model whose values are not a mixture loaded, and metrics exited 0 on it
+    "weights=[-1.0, ...]": lambda doc: _first_model(doc).__setitem__(
+        "weights", [-1.0] * len(_first_model(doc)["weights"])),
+    "weights=[0.5]": lambda doc: _first_model(doc).__setitem__(
+        "weights", [0.5 / len(_first_model(doc)["weights"])] * len(_first_model(doc)["weights"])),
+    "variances=[-1.0, ...]": lambda doc: _first_model(doc)["covariances"].__setitem__(
+        0, [-1.0] * len(_first_model(doc)["means"][0])),
+    "spherical, variance 0": lambda doc: _first_model(doc).update(
+        covariance_type="spherical", covariances=[0.0] * len(_first_model(doc)["weights"])),
+    "means=[[nan, ...]]": lambda doc: _first_model(doc)["means"][0].__setitem__(0, float("nan")),
+    "full, indefinite [1, 2, 1, ...]": lambda doc: _make_full(
+        doc, lambda d: _packed(np.eye(d) + 2.0 * np.eye(d, k=-1))),
+    "full, (J, D, D) not finite": lambda doc: _make_full(
+        doc, lambda d: np.where(np.eye(d) > 0, np.inf, 0.0).tolist()),
 }
 
 
@@ -336,6 +394,11 @@ def _make_full(doc, covariance):
     model = _first_model(doc)
     model["covariance_type"] = "full"
     model["covariances"] = [covariance(len(model["means"][0])) for _ in model["weights"]]
+
+
+def _packed(matrix):
+    """The packed lower triangle of a square matrix, as a result file holds it."""
+    return matrix[np.tri(len(matrix), dtype=bool)].tolist()
 
 
 def _move_test_sizes(doc, first):
@@ -425,6 +488,16 @@ class TestMetrics:
         assert main(["metrics", "--results", bad]) == 2
         assert capsys.readouterr().err.startswith(f"error: malformed results file {bad}: ")
 
+    def test_indefinite_covariance_names_the_class_and_exits_2(self, results_file, tmp_path,
+                                                               capsys):
+        bad = self.rewrite(results_file, tmp_path,
+                           MALFORMED_RESULTS["full, indefinite [1, 2, 1, ...]"])
+        label = json.loads(Path(bad).read_text())["ensembles"]["models"][0][0]
+        assert main(["metrics", "--results", bad]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed results file {bad}: class {label!r}: "
+            "covariance of component 0 is not positive definite\n")
+
     def test_non_numeric_accuracy_exits_2(self, results_file, tmp_path, capsys):
         bad = self.rewrite(results_file, tmp_path,
                            lambda doc: doc["accuracy_matrix"][0].__setitem__(0, "high"))
@@ -439,7 +512,7 @@ class TestMetrics:
         assert f"malformed results file {bad}" in err and "[0, 1]" in err
 
     def test_truncated_task_names_exit_2(self, results_file, tmp_path, capsys):
-        bad = self.rewrite(results_file, tmp_path, lambda doc: doc["task_names"].pop())
+        bad = self.rewrite(results_file, tmp_path, lambda doc: doc["config"]["tasks"].pop())
         assert main(["metrics", "--results", bad]) == 2
         err = capsys.readouterr().err
         assert f"malformed results file {bad}" in err and "one matrix row per task" in err
@@ -470,7 +543,7 @@ class TestOracle:
         doc_a, doc_b = (json.loads(f.read_text()) for f in files)
         task_of = {c: t["name"] for t in doc_a["config"]["tasks"] for c in t["classes"]}
         pred_b = {sid: pred for sid, _, pred in doc_b["per_task_predictions"][-1]}
-        hits = {name: [] for name in doc_a["task_names"] + ["overall"]}
+        hits = {t["name"]: [] for t in doc_a["config"]["tasks"] + [{"name": "overall"}]}
         for sid, truth, pred in doc_a["per_task_predictions"][-1]:
             row = (pred == truth, pred_b[sid] == truth, truth in (pred, pred_b[sid]))
             hits[task_of[truth]].append(row)
@@ -583,13 +656,26 @@ class TestInspect:
         assert captured.err.startswith(f"error: malformed results file {path} line 1 column ")
 
 
+def with_repeated_names(doc):
+    """doc with the keys that files held before task names came from config
+    alone: task_names, and fitted_on (the first task's name) on each
+    normalizer."""
+    names = [task["name"] for task in doc["config"]["tasks"]]
+    for norm in doc["ensembles"]["fusion"]["normalizers"].values():
+        if norm is not None:
+            norm["fitted_on"] = names[0]
+    return dict(doc, task_names=names)
+
+
 class TestOldLayout:
     """Result files written before only the final prediction row was kept,
-    and files written at indent 1 before per-seed files were compact.
+    files written at indent 1 before per-seed files were compact, and files
+    that repeat the task names.
 
     Old-layout files hold one prediction row per task k plus stored
-    per-class counts; every command must read them, and the current layout
-    at indent 1, exactly as it reads the current compact file.
+    per-class counts; every command must read them, the current layout at
+    indent 1, and the current layout with task_names and fitted_on, exactly
+    as it reads the current compact file.
     """
 
     @staticmethod
@@ -615,7 +701,7 @@ class TestOldLayout:
     def layouts(self, synth_dir, tmp_path):
         manifest = parse_manifest((synth_dir / "manifest.json").read_text())
         tables = [load_feature_table(s.path, s.dim, s.name) for s in manifest.modalities]
-        for name in ("old", "indented", "new"):
+        for name in ("old", "indented", "named", "new"):
             (tmp_path / name).mkdir()
         for seed in (1, 2):
             result = run_continual(manifest, tables, seed)
@@ -626,6 +712,10 @@ class TestOldLayout:
             doc = json.loads(text)
             (tmp_path / "indented" / new.name).write_text(
                 json.dumps(doc, sort_keys=True, indent=1) + "\n")
+            assert "task_names" not in doc and "fitted_on" not in text
+            doc = with_repeated_names(doc)
+            (tmp_path / "named" / new.name).write_text(
+                json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
             rows = self.old_rows(manifest, tables, result)
             assert len(rows) == result.matrix.n_tasks > 1
             assert [rows[-1]] == doc["per_task_predictions"]
@@ -636,7 +726,7 @@ class TestOldLayout:
             doc["per_class_correct"] = counts
             (tmp_path / "old" / new.name).write_text(
                 json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        return tmp_path / "old", tmp_path / "indented", tmp_path / "new"
+        return tmp_path / "old", tmp_path / "indented", tmp_path / "named", tmp_path / "new"
 
     def outputs(self, directory, tmp_path, capsys):
         a, b = str(directory / "run_seed1.json"), str(directory / "run_seed2.json")
@@ -702,7 +792,7 @@ class TestOldLayout:
         assert self.outputs(old, tmp_path, capsys) == self.outputs(new, tmp_path, capsys)
 
     def test_old_file_loads_final_row(self, layouts):
-        old, _, new = layouts
+        old, _, named, new = layouts
         doc = json.loads((old / "run_seed1.json").read_text())
         result = load_run_result(old / "run_seed1.json")
         assert len(doc["per_task_predictions"]) == result.matrix.n_tasks > 1
@@ -710,14 +800,16 @@ class TestOldLayout:
             [tuple(p) for p in doc["per_task_predictions"][-1]]]
         assert result.to_dict() == load_run_result(new / "run_seed1.json").to_dict()
         assert result.per_class_correct() == doc["per_class_correct"]
+        assert load_run_result(named / "run_seed1.json").to_dict() == result.to_dict()
 
     def test_commands_give_identical_output(self, layouts, tmp_path, capsys):
-        old_out, indented_out, new_out = (self.outputs(d, tmp_path, capsys) for d in layouts)
+        old_out, indented_out, named_out, new_out = (
+            self.outputs(d, tmp_path, capsys) for d in layouts)
         assert set(old_out) == {"metrics_csv", "metrics_json", "oracle",
                                 "run_seed1_task_accuracy.csv", "run_seed1_metrics.csv",
                                 "run_seed2_task_accuracy.csv", "run_seed2_metrics.csv",
                                 "per_class_correct.csv", "relative_evolution.csv", "inspect"}
-        assert old_out == indented_out == new_out
+        assert old_out == indented_out == named_out == new_out
         assert new_out["inspect"].startswith(INSPECT_HEADER + "\n")
         assert set(json.loads(new_out["metrics_json"])) == {
             "AA", "AIA", "FM", "IM", "final_macro_accuracy", "final_micro_accuracy"}

@@ -1,4 +1,6 @@
+import codecs
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from clbgmm.dataset import (
     generate_synthetic,
     load_feature_table,
     parse_manifest,
+    read_utf8,
     write_feature_table,
 )
 from clbgmm.errors import ValidationError
@@ -34,6 +37,39 @@ CFEE_TASKS = [
     {"name": "compound_anger", "classes": ["angrily_surprised", "angrily_disgusted", "hatred"]},
     {"name": "compound_disgust", "classes": ["disgustedly_surprised", "appalled"]},
 ]
+
+
+# a constructor call that breaks one of its checks -> the start of the message
+INVALID_OBJECTS = {
+    "values (1, 2) for dim 1": (
+        lambda: FeatureTable("m", 1, ["s1"], ["A"], ["train"], [[0.0, 1.0]]),
+        "m: 1 sample ids need 1 classes, 1 splits and values of shape (1, 1)"),
+    "split=valid": (lambda: FeatureTable("m", 1, ["s1"], ["A"], ["valid"], [[0.0]]),
+                    "row 's1': split must be train or test"),
+    "task without classes": (lambda: TaskSpec("t1", ()), "task 't1' has no classes"),
+    "class listed twice": (lambda: TaskSpec("t1", ("A", "A")), "task 't1' lists a class twice"),
+    "basic=0": (lambda: SyntheticConfig(0, 0), "class counts must be positive"),
+    "compound=-1": (lambda: SyntheticConfig(2, -1), "class counts must be positive"),
+    "dim_a=0": (lambda: SyntheticConfig(2, 0, dim_a=0), "modality dimensions must be >= 1"),
+    "dim_b=0": (lambda: SyntheticConfig(2, 0, dim_b=0), "modality dimensions must be >= 1"),
+    "train=0": (lambda: SyntheticConfig(2, 0, samples_per_class_train=0),
+                "per-class sample counts must be positive"),
+    "test=0": (lambda: SyntheticConfig(2, 0, samples_per_class_test=0),
+               "per-class sample counts must be positive"),
+    "spread=0": (lambda: SyntheticConfig(2, 0, cluster_spread=0.0),
+                 "cluster_spread must be positive"),
+    "bias=1.5": (lambda: SyntheticConfig(2, 0, modality_bias=1.5),
+                 "modality_bias must lie in [0, 1]"),
+    "bias=-0.1": (lambda: SyntheticConfig(2, 0, modality_bias=-0.1),
+                  "modality_bias must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_OBJECTS))
+def test_constructor_check_names_the_rule(case):
+    build, message = INVALID_OBJECTS[case]
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        build()
 
 
 class TestParseManifest:
@@ -75,6 +111,11 @@ class TestParseManifest:
         assert [t.name for t in man.tasks] == [t["name"] for t in CFEE_TASKS]
         assert [len(t.class_labels) for t in man.tasks] == [7, 3, 4, 3, 3, 2]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(codecs.BOM_UTF8 + json.dumps(MINIMAL).encode("utf-8"))
+        assert parse_manifest(read_utf8(path)) == parse_manifest(json.dumps(MINIMAL))
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(ValidationError, match="line"):
             parse_manifest("{not json")
@@ -102,6 +143,57 @@ class TestLoadFeatureTable:
         path = tmp_path / "feat.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
+
+    # file text, expected dim -> the end of the message, which starts with the path
+    BAD_FILES = {
+        "empty": ("", 1, ": empty file"),
+        "header": ("id,class,split,f_0\ns1,A,train,0.5\n", 1,
+                   ": header must start with sample_id,class,split"),
+        # one short row fails the one-call parse, then the row-by-row one names it
+        "short row": ("sample_id,class,split,f_0,f_1\ns1,A,train,0.5,1.5\ns2,A,test,0.5\n", 2,
+                      " line 3: 1 feature values, expected 2"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_FILES))
+    def test_bad_file_is_named(self, tmp_path, case):
+        text, dim, message = self.BAD_FILES[case]
+        path = tmp_path / "feat.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_feature_table(path, expected_dim=dim)
+        assert str(info.value) == f"{path}{message}"
+
+    def test_row_by_row_parse_skips_a_blank_line(self, tmp_path):
+        # 1_0 parses only row by row; line 4 is named, so line 3 was counted
+        path = self.write_csv(tmp_path, [
+            "sample_id,class,split,f_0", "s1,A,train,1_0", "", "s2,A,test,x"])
+        with pytest.raises(ValidationError, match="line 4, column f_0: non-numeric value 'x'"):
+            load_feature_table(path, expected_dim=1)
+        path = self.write_csv(tmp_path, [
+            "sample_id,class,split,f_0", "s1,A,train,1_0", "", "s2,A,test,2.5"])
+        assert load_feature_table(path, expected_dim=1).values.tolist() == [[10.0], [2.5]]
+
+    @pytest.mark.parametrize("cells", ["0.5", "1_0"], ids=["one call", "row by row"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, cells):
+        text = f"sample_id,class,split,f_0\ns1,A,train,{cells}\ns2,B,test,2.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        a, b = (load_feature_table(p, expected_dim=1, modality_name="m") for p in (plain, marked))
+        assert b.sample_ids.tolist() == a.sample_ids.tolist() == ["s1", "s2"]
+        assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("bad_line", [1, 2, 3000])
+    def test_non_utf8_byte_after_a_byte_order_mark_names_the_line(self, tmp_path, bad_line):
+        lines = ["sample_id,class,split,f_0"] + [f"s{i},A,train,{i}.5" for i in range(2, 4000)]
+        data = codecs.BOM_UTF8 + ("\n".join(lines) + "\n").encode("utf-8")
+        at = data.index(b"class") if bad_line == 1 else data.index(f"\ns{bad_line},".encode()) + 2
+        path = tmp_path / "feat.csv"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(ValidationError) as info:
+            load_feature_table(path, expected_dim=1)
+        assert str(info.value) == (
+            f"{path} line {bad_line}: not UTF-8 text (invalid start byte 0xff)")
 
     def test_three_rows_two_features(self, tmp_path):
         path = self.write_csv(tmp_path, [
@@ -231,6 +323,12 @@ class TestBuildTaskSequence:
         assert [len(b.test.sample_ids) for b in batches] == [2, 1]
         assert batches[0].test.sample_ids.tolist() == ["a2", "b2"]
         assert batches[0].test.features["m"].tolist() == [[0.1], [1.1]]
+
+    def test_one_table_per_modality(self):
+        table = single_modality_table([("a1", "A", "train", [0.0])])
+        man = make_manifest([TaskSpec("t1", ("A",))], [ModalitySpec("m", "", 1, False)])
+        with pytest.raises(ValidationError, match="^one table per declared modality is required$"):
+            build_task_sequence(man, [table, table])
 
     def test_unrouted_class_is_error(self):
         table = single_modality_table([("d1", "D", "train", [0.0])])

@@ -58,6 +58,31 @@ class TestAccuracy:
             accuracy(preds, truth)
 
 
+# a call outside a metric's range -> its whole message
+RANGE_ERRORS = {
+    "AIA k=2 of 1": (lambda: average_incremental_accuracy(matrix_from([[0.5]]), 2),
+                     "k=2 out of range"),
+    "f j=0": (lambda: forgetting(matrix_from([[0.5], [0.5, 0.5]]), 0, 2),
+              "(j=0, k=2) out of range"),
+    "f k=3 of 2": (lambda: forgetting(matrix_from([[0.5], [0.5, 0.5]]), 1, 3),
+                   "(j=1, k=3) out of range"),
+    "FM k=3 of 2": (lambda: forgetting_measure(matrix_from([[0.5], [0.5, 0.5]]), 3),
+                    "k=3 out of range"),
+    "test size 0": (lambda: final_accuracies(matrix_from([[0.5]]), [0]),
+                    "test sizes must be positive"),
+    "two references for one task": (lambda: compute_report(matrix_from([[0.5]]), [10], [0.5, 0.5]),
+                                    "need 1 joint-reference accuracies, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(RANGE_ERRORS))
+def test_out_of_range_call_names_the_range(case):
+    call, message = RANGE_ERRORS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestAverageAccuracy:
     def test_two_task_mean(self):
         m = matrix_from([[0.9], [0.6, 0.8]])

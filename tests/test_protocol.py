@@ -219,6 +219,10 @@ class TestOracleUnion:
         with pytest.raises(ValidationError):
             oracle_union_accuracy(["a"], ["a", "b"], ["a", "b"])
 
+    def test_empty_lists_rejected(self):
+        with pytest.raises(ValidationError, match="^empty prediction lists$"):
+            oracle_union_accuracy([], [], [])
+
     def test_dominates_individual_accuracies(self):
         manifest, tables = synthetic_setup()
         result = run_continual(manifest, tables, seed=7, compute_joint_reference=False)
