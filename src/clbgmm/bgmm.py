@@ -33,17 +33,25 @@ centred on it once, so the prior mean is zero in the iteration, every
 family's scatter is the second moment minus beta m m^T (Bishop, PRML section
 10.2), and a large offset cancels before any square is taken (Chan, Golub and
 LeVeque, 1983). The plug-in adds the data mean back to the means.
+
+Digamma and log Gamma come from _digamma_gammaln, in numpy: the recurrence
+raises each argument by 8, then the asymptotic series apply (Bernardo,
+"Algorithm AS 103: Psi (digamma) function", 1976; Stirling's series for log
+Gamma). scipy is imported only for full covariances, for LAPACK's Cholesky
+factor and triangular inverse (_lapack), so a diagonal or spherical run
+never loads it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
-from scipy.special import digamma, gammaln
+# numpy 2 loads numpy.random on first use (about 20 ms); load it with the
+# module, not inside the first fit
+import numpy.random  # noqa: F401
 
 from .errors import NumericalError, ValidationError
 
@@ -98,6 +106,8 @@ class BgmmConfig:
             raise ValidationError("max_iterations and n_restarts must be >= 1")
         if not (0.0 < self.prune_threshold < 1.0):
             raise ValidationError("prune_threshold must lie in (0, 1)")
+        if self.covariance_type == "full":
+            _lapack()   # a run pays the import while it reads its manifest, not in a fit
         return self
 
     def to_dict(self) -> dict:
@@ -255,6 +265,80 @@ class VariationalState:
 # numerical kernels
 # ---------------------------------------------------------------------------
 
+# Bernoulli numbers B_2, B_4, ..., B_14
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+# the rows that _digamma_gammaln builds for each argument x, with z = x + 8:
+# 1; x + k, log(x + k) and 1/(x + k) for k = 0..8; then 1/z**2 .. 1/z**13,
+# which continue the 1/z row into the powers of 1/z
+_SHIFTS = np.arange(9.0)[:, None, None]
+_SHIFTED = slice(1, 10)
+_LOGS = slice(10, 19)
+_RECIPROCALS = slice(19, 28)
+_POWERS = slice(27, 40)
+
+
+def _digamma_gammaln_coefficients() -> np.ndarray:
+    """(2, 40): digamma (row 0) and log Gamma (row 1) of x as combinations
+    of _digamma_gammaln's rows, the z log z term of log Gamma apart:
+
+        psi(x) = log z - 1/(2z) - sum_n B_2n / (2n z**2n) - sum_k 1/(x + k)
+        log Gamma(x) = z log z - z - (log z)/2 + log(2 pi)/2
+                       + sum_n B_2n / (2n (2n - 1) z**(2n-1)) - sum_k log(x + k)
+
+    with k = 0..7 and z = x + 8. The sums over k are the recurrences psi(x)
+    = psi(x + 1) - 1/x and log Gamma(x) = log Gamma(x + 1) - log x; the
+    rest are the asymptotic series of both functions at z."""
+    coef = np.zeros((2, _POWERS.stop))
+    coef[1, 0] = 0.5 * LOG_2PI
+    coef[1, _SHIFTED.stop - 1] = -1.0                  # z
+    coef[:, _LOGS.stop - 1] = [1.0, -0.5]              # log z
+    coef[1, _LOGS.start:_LOGS.stop - 1] = -1.0         # log(x + k), k < 8
+    coef[0, _RECIPROCALS.start:_RECIPROCALS.stop - 1] = -1.0   # 1/(x + k), k < 8
+    series = coef[:, _POWERS]                          # 1/z**k in column k - 1
+    series[0, 0] = -0.5
+    for n, b in enumerate(_BERNOULLI, start=1):
+        if 2 * n <= series.shape[1]:
+            series[0, 2 * n - 1] = -b / (2 * n)
+        series[1, 2 * n - 2] = b / (2 * n * (2 * n - 1))
+    return coef
+
+
+_DIGAMMA_GAMMALN = _digamma_gammaln_coefficients()
+
+
+def _digamma_gammaln(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digamma and log Gamma of an array of positive arguments, in one pass.
+
+    Each x is raised to z = x + 8 by the recurrences, and both functions of
+    z come from their asymptotic series up to 1/z**13 (see
+    _digamma_gammaln_coefficients); at z >= 8 the first omitted term is
+    below 2e-14. One matrix product per row of x sums every term but z log
+    z, so the cost is a fixed number of numpy calls, and each row of a (C,
+    n) x is bit-identical to its own (n,) call. A NaN argument gives NaN.
+    """
+    xs = x.reshape(-1, x.shape[-1])                     # (C, n)
+    rows = np.empty((_POWERS.stop,) + xs.shape)
+    rows[0] = 1.0
+    shifted = np.add(xs, _SHIFTS, out=rows[_SHIFTED])
+    log_shifted = np.log(shifted, out=rows[_LOGS])
+    np.divide(1.0, shifted, out=rows[_RECIPROCALS])
+    powers = rows[_POWERS]
+    powers[1:] = powers[0]
+    np.multiply.accumulate(powers, out=powers)
+    terms = _DIGAMMA_GAMMALN @ rows.transpose(1, 0, 2)   # (C, 2, n)
+    psi, lg = terms[:, 0], terms[:, 1]
+    lg += shifted[-1] * log_shifted[-1]
+    return psi.reshape(x.shape), lg.reshape(x.shape)
+
+
+@cache
+def _lapack():
+    """scipy's LAPACK dpotrf and dtrtri, imported on the first call. Only
+    full covariances need them, and the import takes about 0.3 s."""
+    from scipy.linalg.lapack import dpotrf, dtrtri
+    return dpotrf, dtrtri
+
+
 def _factor(mats: np.ndarray, what: str):
     """Lower Cholesky factors C of a (..., J, D, D) stack of SPD matrices,
     and their inverses C^-1 (lower triangular too).
@@ -264,6 +348,7 @@ def _factor(mats: np.ndarray, what: str):
     trtri, which inverts the triangle. The finite check runs once on the
     whole stack; an error names the component j of the failing matrix.
     """
+    dpotrf, dtrtri = _lapack()
     j, d = mats.shape[-3], mats.shape[-1]
     flat = mats.reshape(-1, d, d)
     finite = np.isfinite(flat).all(axis=(1, 2))
@@ -355,19 +440,21 @@ def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
     else:
         rate = emp_var
     j = config.max_components
+    full = config.covariance_type == "full"
     b0 = rate.mean(keepdims=True) if config.covariance_type == "spherical" else rate
+    nu0 = d + a0   # Wishart prior dof (full)
+    wishart_arg = 0.5 * (nu0 + 1 - np.arange(1, d + 1)) if full else ()
+    _, lg = _digamma_gammaln(np.array([j * alpha0, alpha0, a0, *wishart_arg]))
     pri = _Priors(alpha0=alpha0, beta0=config.mean_prior_strength, m0=m0, a0=a0, b0=b0,
-                  gammaln_j_alpha0=gammaln(j * alpha0), j_gammaln_alpha0=j * gammaln(alpha0),
-                  gammaln_a0=gammaln(a0), log_b0=np.log(b0))
-    if config.covariance_type == "full":
+                  gammaln_j_alpha0=lg[0], j_gammaln_alpha0=j * lg[1],
+                  gammaln_a0=lg[2], log_b0=np.log(b0))
+    if full:
         # Wishart prior matching E[precision] = 1/rate per dimension
-        pri.nu0 = d + a0
-        pri.w0_inv = np.diag(pri.nu0 * rate)
-        pri.w0_logdet = -float(np.sum(np.log(pri.nu0 * rate)))
-        idx = np.arange(1, d + 1)
-        pri.log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * LOG_2 \
-            - 0.25 * d * (d - 1) * LOG_PI \
-            - gammaln(0.5 * (pri.nu0 + 1 - idx)).sum()
+        pri.nu0 = nu0
+        pri.w0_inv = np.diag(nu0 * rate)
+        pri.w0_logdet = -float(np.sum(np.log(nu0 * rate)))
+        pri.log_b_p = -0.5 * nu0 * pri.w0_logdet - 0.5 * nu0 * d * LOG_2 \
+            - 0.25 * d * (d - 1) * LOG_PI - lg[3:].sum()
     return pri
 
 
@@ -446,19 +533,28 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
     """Per-sample, per-component expected Gaussian log density + E[log pi]
     of rows centred on the prior mean (x2 is X ** 2), (C, N, J), and KL(q ||
     prior) for the weight and mean/precision posteriors, (C,), of a stack of
-    C posteriors. Each expectation the two share is computed once."""
+    C posteriors. Each expectation the two share is computed once, and one
+    _digamma_gammaln call covers the step: alpha (C, J), its sum, and the
+    Gamma shapes (C, J) or the Wishart arguments (C, J, D)."""
     alpha, beta, m = state.alpha, state.beta, state.means
-    c, _, d = m.shape
+    c, j, d = m.shape
     d_beta = d / beta
     alpha_sum = alpha.sum(axis=1)
-    elog_pi = digamma(alpha) - digamma(alpha_sum)[:, None]
-    kl = gammaln(alpha_sum) - pri.gammaln_j_alpha0 \
-        + pri.j_gammaln_alpha0 - gammaln(alpha).sum(axis=1) \
+    if state.covariance_type != "full":
+        gamma_arg = state.shape
+    else:
+        nu = state.dof
+        gamma_arg = 0.5 * (nu[..., None] + 1 - np.arange(1, d + 1))       # (C, J, D)
+    psi, lg = _digamma_gammaln(
+        np.concatenate((alpha, alpha_sum[:, None], gamma_arg.reshape(c, -1)), axis=1))
+    elog_pi = psi[:, :j] - psi[:, j, None]
+    kl = lg[:, j] - pri.gammaln_j_alpha0 \
+        + pri.j_gammaln_alpha0 - lg[:, :j].sum(axis=1) \
         + ((alpha - pri.alpha0) * elog_pi).sum(axis=1)
 
     if state.covariance_type != "full":
         a, b = state.shape, state.rate
-        digamma_a = digamma(a)
+        digamma_a, gammaln_a = psi[:, j + 1:], lg[:, j + 1:]
         log_b = np.log(b)
         # out= broadcasts a spherical rate (C, J, 1) over the D columns
         elog_lam = np.subtract(digamma_a[..., None], log_b, out=np.empty_like(m))   # (C, J, D)
@@ -470,26 +566,24 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
         kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
                + 0.5 * pri.beta0 * (prec_m2 + d_beta)).sum(axis=1)
         kl += ((a[..., None] - pri.a0) * digamma_a[..., None]
-               - gammaln(a)[..., None] + pri.gammaln_a0
+               - gammaln_a[..., None] + pri.gammaln_a0
                + pri.a0 * (log_b - pri.log_b0)
                + a[..., None] * (pri.b0 - b) / b).reshape(c, -1).sum(axis=1)
     else:
         # from one factor C = chol(w_inv): scale W = C^-T C^-1, log det W
         # = -2 sum(log diag C), and E[log det precision]
-        nu = state.dof
+        digamma_sum, gammaln_sum = (v[:, j + 1:].reshape(c, j, d).sum(axis=2) for v in (psi, lg))
         low, low_inv = _factor(state.w_inv, "inverse scale matrix")
         w = low_inv.swapaxes(2, 3) @ low_inv
         logdet_w = -2.0 * np.log(np.diagonal(low, axis1=2, axis2=3)).sum(axis=2)
-        wishart_arg = 0.5 * (nu[..., None] + 1 - np.arange(1, d + 1))       # (C, J, D)
-        elog_det = digamma(wishart_arg).sum(axis=2) + d * LOG_2 + logdet_w
+        elog_det = digamma_sum + d * LOG_2 + logdet_w
         log_dens = (0.5 * elog_det - 0.5 * d * LOG_2PI)[:, None, :] \
             - 0.5 * (nu[:, None, :] * _centred_quad(X, m, low_inv) + d_beta[:, None, :])
         quad = (((nu[..., None] * m)[..., None, :] @ w) @ m[..., :, None])[..., 0, 0]
         mean_kl = 0.5 * d * np.log(beta / pri.beta0) - 0.5 * d \
             + 0.5 * pri.beta0 * (quad + d_beta)
         log_b_q = -0.5 * nu * logdet_w - 0.5 * nu * d * LOG_2 \
-            - 0.25 * d * (d - 1) * LOG_PI \
-            - gammaln(wishart_arg).sum(axis=2)
+            - 0.25 * d * (d - 1) * LOG_PI - gammaln_sum
         wishart_kl = log_b_q - pri.log_b_p + 0.5 * (nu - pri.nu0) * elog_det \
             + 0.5 * nu * (np.trace(pri.w0_inv @ w, axis1=2, axis2=3) - d)
         kl += (mean_kl + wishart_kl).sum(axis=1)

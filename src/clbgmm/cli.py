@@ -131,13 +131,14 @@ def cmd_oracle(args) -> int:
     sizes = result_a.per_task_test_sizes
     chunks = [(name, final_a[end - size:end]) for name, size, end
               in zip(result_a.matrix.task_names, sizes, itertools.accumulate(sizes))]
-    print("task,acc_a,acc_b,union")
+    rows = [["task", "acc_a", "acc_b", "union"]]
     for name, chunk in chunks + [("overall", final_a)]:
         truth = [t for _, t, _ in chunk]
         pa = [p for _, _, p in chunk]
         pb = [preds_b[sid] for sid, _, _ in chunk]
-        print(f"{name},{accuracy(pa, truth):.6f},{accuracy(pb, truth):.6f},"
-              f"{oracle_union_accuracy(pa, pb, truth):.6f}")
+        rows.append([name, f"{accuracy(pa, truth):.6f}", f"{accuracy(pb, truth):.6f}",
+                     f"{oracle_union_accuracy(pa, pb, truth):.6f}"])
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return EXIT_OK
 
 

@@ -499,6 +499,101 @@ class TestLogsumexp:
         assert np.all(np.abs(got[finite] - ref[finite]) <= tol)
 
 
+# errors of _digamma_gammaln against scipy, relative to max(1, |value|)
+DIGAMMA_TOL = 9.5e-14
+GAMMALN_TOL = 1.4e-13
+
+
+def _assert_matches_scipy(x):
+    psi, lg = bgmm._digamma_gammaln(x)
+    assert psi.shape == lg.shape == x.shape
+    for got, ref, tol in ((psi, digamma(x), DIGAMMA_TOL), (lg, gammaln(x), GAMMALN_TOL)):
+        assert np.all(np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref)))
+
+
+def _fit_outcomes(ct):
+    """What a fit decides, for a three-cluster fit and for each class of the
+    README dataset's run: components kept, iterations, merges and components
+    pruned of every mixture, the three-cluster fit's row labels, and the
+    run's predicted labels."""
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(c, 1.0, (100, 8)) for c in rng.normal(0.0, 10.0, (3, 8))])
+    mix, _ = fit(X, BgmmConfig(max_components=10, covariance_type=ct), seed=0)
+    rows = bgmm._component_log_density(mix, X) + np.log(mix.weights)
+    ta, tb, tasks = generate_synthetic(SyntheticConfig(n_basic_classes=7,
+                                                       n_compound_classes=15), 1)
+    manifest = ExperimentManifest(
+        tasks=tuple(tasks),
+        modalities=(ModalitySpec("mod_a", "", 2, True), ModalitySpec("mod_b", "", 2, False)),
+        fusion_strategy="concat",
+        bgmm_config=BgmmConfig(max_components=10, covariance_type=ct),
+        seeds=(1,), output_path="out")
+    ens = run_continual(manifest, [ta, tb], seed=1, compute_joint_reference=False).ensemble
+    test_rows = np.vstack([ens.fusion.transform(b.test.features)
+                           for b in build_task_sequence(manifest, [ta, tb])])
+    counts = [(m.n_components, m.metadata["iterations"], m.metadata["merges"],
+               m.metadata["components_pruned"]) for m in [mix, *ens.models.values()]]
+    return counts, rows.argmax(axis=1).tolist(), predict_batch(ens, test_rows)
+
+
+class TestDigammaGammaln:
+    def test_matches_scipy_on_a_log_grid(self):
+        _assert_matches_scipy(np.logspace(-2, 4, 20001)[1:-1])
+
+    def test_matches_scipy_at_the_weight_and_gamma_arguments(self):
+        # alpha = alpha0 + integer counts, their sums over J = 10, and Gamma
+        # shapes a0 + counts * D / 2
+        counts = np.arange(10001.0)
+        _assert_matches_scipy(np.stack([0.1 + counts, 10 * 0.1 + counts, 1.0 + 0.5 * counts]))
+
+    def test_matches_scipy_at_the_wishart_half_integers(self):
+        # 0.5 * (nu + 1 - i), i = 1..D, for nu = D + a0 + integer counts
+        for d in (2, 8, 16, 64):
+            nu = d + 1.0 + np.arange(2001.0)
+            _assert_matches_scipy(0.5 * (nu[:, None] + 1 - np.arange(1, d + 1)))
+
+    def test_recurrences(self):
+        # psi(x + 1) = psi(x) + 1/x and log Gamma(x + 1) = log Gamma(x) + log x
+        x = np.logspace(-2, 4, 2001)
+        psi, lg = bgmm._digamma_gammaln(x)
+        psi1, lg1 = bgmm._digamma_gammaln(x + 1.0)
+        scale = np.maximum(1.0, np.maximum(np.abs(psi), np.abs(psi1)))
+        assert np.all(np.abs(psi1 - psi - 1.0 / x) <= 2 * DIGAMMA_TOL * scale)
+        scale = np.maximum(1.0, np.maximum(np.abs(lg), np.abs(lg1)))
+        assert np.all(np.abs(lg1 - lg - np.log(x)) <= 2 * GAMMALN_TOL * scale)
+
+    @pytest.mark.parametrize("n", [1, 5, 21, 171])
+    def test_rows_are_computed_apart(self, n):
+        # a merge move's stacked step must give each candidate the bits of
+        # its own step
+        x = np.random.default_rng(n).uniform(0.05, 500.0, (4, n))
+        psi, lg = bgmm._digamma_gammaln(x)
+        for row in range(4):
+            for alone in (x[row], x[row:row + 1]):
+                psi1, lg1 = bgmm._digamma_gammaln(alone)
+                assert np.array_equal(psi1.reshape(n), psi[row])
+                assert np.array_equal(lg1.reshape(n), lg[row])
+
+    def test_nan_propagates(self):
+        psi, lg = bgmm._digamma_gammaln(np.array([np.nan, 1.0]))
+        assert np.isnan(psi[0]) and np.isnan(lg[0])
+        assert np.isfinite(psi[1]) and np.isfinite(lg[1])
+
+    @pytest.mark.parametrize("ct", bgmm.COVARIANCE_TYPES)
+    def test_fits_decide_as_with_scipy_functions(self, monkeypatch, ct):
+        ours = _fit_outcomes(ct)
+        calls = []
+
+        def scipy_functions(x):
+            calls.append(x.size)
+            return digamma(x), gammaln(x)
+        monkeypatch.setattr(bgmm, "_digamma_gammaln", scipy_functions)
+        assert _fit_outcomes(ct) == ours
+        assert calls
+        # every fit merged and pruned, so those decisions were compared too
+        assert all(merges and pruned for _, _, merges, pruned in ours[0])
+
+
 def _plain_fit_once(X, x2, config, pri, rng):
     """bgmm._fit_once without merge moves: plain steps, on a stack of one,
     until the bound moves by less than elbo_tolerance or the trace holds

@@ -1,4 +1,5 @@
 import codecs
+import csv
 import dataclasses
 import hashlib
 import json
@@ -322,6 +323,46 @@ class TestRun:
         assert outputs[0] == outputs[1]
 
 
+def _scipy_after(code):
+    """The scipy modules that a fresh interpreter holds after running code."""
+    src = str(Path(clbgmm.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    listing = "import json, sys\n" \
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{listing}"], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestScipyImports:
+    """scipy is imported only for full covariances (LAPACK's Cholesky factor
+    and triangular inverse); the special functions are the package's own."""
+
+    def test_cli_import_loads_no_scipy(self):
+        assert _scipy_after("import clbgmm.cli") == set()
+
+    def test_diagonal_run_loads_no_scipy(self, synth_dir, tmp_path):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        assert manifest["bgmm"]["covariance_type"] == "diagonal"
+        out = tmp_path / "res"
+        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(out)]
+        assert _scipy_after(f"from clbgmm.cli import main\nassert main({argv!r}) == 0") == set()
+        assert Path(f"{out}_seed1.json").is_file()
+
+    def test_full_manifest_loads_lapack_alone(self, synth_dir, tmp_path):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        manifest["bgmm"]["covariance_type"] = "full"
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(manifest))
+        loaded = _scipy_after("from pathlib import Path\nfrom clbgmm.dataset import parse_manifest\n"
+                              f"parse_manifest(Path({str(path)!r}).read_text())")
+        assert "scipy.linalg.lapack" in loaded
+        assert "scipy.special" not in loaded
+        # and nothing more than importing LAPACK loads by itself
+        assert loaded == _scipy_after("import scipy.linalg.lapack")
+
+
 @pytest.fixture
 def results_file(synth_dir):
     assert main(["run", "--manifest", str(synth_dir / "manifest.json")]) == 0
@@ -553,6 +594,20 @@ class TestOracle:
             ",".join([key] + [f"{sum(col) / len(col):.6f}" for col in zip(*rows)])
             for key, rows in hits.items()]
         assert lines == expected
+
+    def test_task_name_with_a_comma_is_quoted(self, synth_dir, tmp_path, capsys):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        manifest["tasks"][0]["name"] = "basics, all"
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "comma")]) == 0
+        capsys.readouterr()
+        results = str(tmp_path / "comma_seed1.json")
+        assert main(["oracle", "--results-a", results, "--results-b", results]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [len(row) for row in rows] == [4] * (len(manifest["tasks"]) + 2)
+        assert [row[0] for row in rows] == \
+            ["task"] + [t["name"] for t in manifest["tasks"]] + ["overall"]
 
     def test_mismatched_sample_ids_exit_2(self, results_file, tmp_path):
         doc = json.loads(Path(results_file).read_text())
