@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from dataclasses import fields
@@ -122,22 +121,23 @@ def cmd_metrics(args) -> int:
 def cmd_oracle(args) -> int:
     result_a = load_run_result(args.results_a)
     result_b = load_run_result(args.results_b)
-    final_a = result_a.per_task_predictions[-1]
-    preds_b = {sid: pred for sid, _, pred in result_b.per_task_predictions[-1]}
-    if {sid for sid, _, _ in final_a} != set(preds_b):
+    row_b = {sid: i for i, sid in enumerate(result_b.sample_ids)}
+    if set(result_a.sample_ids) != set(row_b):
         raise ValidationError("results cover different test sample ids")
+    order = [row_b[sid] for sid in result_a.sample_ids]  # run B's rows in run A's order
+    for sid, a, b in zip(result_a.sample_ids, result_a.truth, result_b.truth[order]):
+        if a != b:
+            raise ValidationError(f"sample {sid!r} has true class {a!r} in {args.results_a} "
+                                  f"but {b!r} in {args.results_b}")
+    truth, preds_a, preds_b = result_a.truth, result_a.predicted, result_b.predicted[order]
 
-    # the final row holds each task's test rows in task order
-    sizes = result_a.per_task_test_sizes
-    chunks = [(name, final_a[end - size:end]) for name, size, end
-              in zip(result_a.matrix.task_names, sizes, itertools.accumulate(sizes))]
+    task_of = result_a.task_of_rows()
+    groups = [(name, task_of == k) for k, name in enumerate(result_a.matrix.task_names)]
     rows = [["task", "acc_a", "acc_b", "union"]]
-    for name, chunk in chunks + [("overall", final_a)]:
-        truth = [t for _, t, _ in chunk]
-        pa = [p for _, _, p in chunk]
-        pb = [preds_b[sid] for sid, _, _ in chunk]
-        rows.append([name, f"{accuracy(pa, truth):.6f}", f"{accuracy(pb, truth):.6f}",
-                     f"{oracle_union_accuracy(pa, pb, truth):.6f}"])
+    for name, group in groups + [("overall", slice(None))]:
+        t, a, b = truth[group], preds_a[group], preds_b[group]
+        rows.append([name, f"{accuracy(a, t):.6f}", f"{accuracy(b, t):.6f}",
+                     f"{oracle_union_accuracy(a, b, t):.6f}"])
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return EXIT_OK
 

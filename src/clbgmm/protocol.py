@@ -15,6 +15,7 @@ matrix; ``train_joint_reference`` is the independent refit that checks it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,26 +47,43 @@ def _list_of(values, n: int, valid) -> bool:
     return isinstance(values, list) and len(values) == n and all(map(valid, values))
 
 
+def _class_tasks(config: dict) -> dict:
+    """Class label -> task index, in the task order that class indices count in."""
+    return {label: k for k, task in enumerate(config["tasks"]) for label in task["classes"]}
+
+
 @dataclass
 class RunResult:
+    """One seed's run. ``sample_ids``, ``truth`` and ``predicted`` are parallel
+    object arrays of str: the prediction after the final task for every test
+    sample of tasks 1..T, in task order. The file stores truth and predicted
+    as indices into the class labels of ``config.tasks``, in task order."""
+
     matrix: AccuracyMatrix
-    # one row, the final one (k = T): (sample_id, truth, predicted) for every
-    # test sample of tasks 1..T; an old file's earlier rows are dropped on load
-    per_task_predictions: list
+    sample_ids: np.ndarray
+    truth: np.ndarray
+    predicted: np.ndarray
     per_task_test_sizes: list
     joint_reference_accuracies: list | None
     manifest_echo: dict
     seed: int
     ensemble: ClassConditionalEnsemble
 
+    @property
+    def per_task_predictions(self) -> list:
+        """The predictions as the former attribute held them: one row of
+        (sample_id, truth, predicted) triples."""
+        return [list(zip(self.sample_ids, self.truth, self.predicted))]
+
     def to_dict(self) -> dict:
+        index = {label: i for i, label in enumerate(_class_tasks(self.manifest_echo))}
         return {
             "config": self.manifest_echo,
             "seed": self.seed,
             "accuracy_matrix": self.matrix.to_list(),
-            "per_task_predictions": [
-                [[sid, truth, pred] for sid, truth, pred in self.per_task_predictions[-1]]
-            ],
+            "predictions": {"sample_ids": self.sample_ids.tolist(),
+                            "truth": [index[label] for label in self.truth],
+                            "predicted": [index[label] for label in self.predicted]},
             "per_task_test_sizes": list(self.per_task_test_sizes),
             "joint_reference": self.joint_reference_accuracies,
             "ensembles": self.ensemble.to_dict(),
@@ -91,12 +109,41 @@ class RunResult:
         refs = d.get("joint_reference")
         if refs is not None and not _list_of(refs, t, lambda a: _is_number(a) and 0.0 <= a <= 1.0):
             raise ValueError(f"joint_reference must be null or {t} numbers in [0, 1]")
-        rows = d["per_task_predictions"]
-        if not rows or len(rows[-1]) != sum(sizes):
-            raise ValueError(f"the final prediction row needs {sum(sizes)} entries")
+        class_tasks = _class_tasks(d["config"])
+        if "predictions" in d or "per_task_predictions" not in d:
+            columns = d["predictions"]
+            ids, truth, predicted = columns["sample_ids"], columns["truth"], columns["predicted"]
+        else:  # older files: rows of [sample_id, truth, predicted] labels, the final one kept
+            index = {label: i for i, label in enumerate(class_tasks)}
+            # a label of no class stays a label, which the index check refuses
+            rows = [(sid, index.get(true_label, true_label), index.get(pred_label, pred_label))
+                    for final in d["per_task_predictions"][-1:]
+                    for sid, true_label, pred_label in final]
+            ids, truth, predicted = map(list, zip(*rows)) if rows else ([], [], [])
+        if not (isinstance(ids, list) and set(map(type, ids)) <= {str}):
+            raise ValueError("prediction sample_ids must be a list of strings")
+        n = len(class_tasks)
+        # exact types: a bool or a float is no class index
+        if not all(isinstance(column, list) and len(column) == len(ids)
+                   and set(map(type, column)) <= {int}
+                   and 0 <= min(column, default=0) and max(column, default=0) < n
+                   for column in (truth, predicted)):
+            raise ValueError(f"prediction truth and predicted must each hold {len(ids)} "
+                             f"class indices in [0, {n}), one per sample id")
+        if len(set(ids)) != len(ids):
+            duplicate = next(sid for sid, count in Counter(ids).items() if count > 1)
+            raise ValueError(f"sample id {duplicate!r} has two predictions")
+        task_of_class = np.array(list(class_tasks.values()), dtype=np.intp)
+        counts = np.bincount(task_of_class[truth], minlength=t).tolist()
+        if counts != sizes:
+            raise ValueError(f"the predictions hold {counts} test rows per task, "
+                             f"but per_task_test_sizes is {sizes}")
+        labels = np.array(list(class_tasks), dtype=object)
         return RunResult(
             matrix=matrix,
-            per_task_predictions=[[(sid, truth, pred) for sid, truth, pred in rows[-1]]],
+            sample_ids=np.array(ids, dtype=object),
+            truth=labels[truth],
+            predicted=labels[predicted],
             per_task_test_sizes=list(sizes),
             joint_reference_accuracies=refs,
             manifest_echo=dict(d["config"]),
@@ -108,13 +155,15 @@ class RunResult:
         return compute_report(self.matrix, self.per_task_test_sizes,
                               self.joint_reference_accuracies)
 
+    def task_of_rows(self) -> np.ndarray:
+        """Index of the task that owns each row's true class."""
+        class_tasks = _class_tasks(self.manifest_echo)
+        return np.array([class_tasks[label] for label in self.truth], dtype=np.intp)
+
     def per_class_correct(self) -> dict:
-        """Correct final-row predictions per true class (zero counts kept)."""
-        final = self.per_task_predictions[-1]
-        counts = dict.fromkeys((truth for _, truth, _ in final), 0)
-        for _, truth, pred in final:
-            counts[truth] += int(pred == truth)
-        return counts
+        """Correct final predictions per true class (zero counts kept)."""
+        return {**dict.fromkeys(self.truth, 0),
+                **Counter(self.truth[self.truth == self.predicted])}
 
 
 @dataclass
@@ -172,13 +221,13 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
 
     # the joint model for tasks 1..k is the continual model after task k
     joint_refs = [row[-1] for row in rows] if compute_joint_reference else None
-    # only the final row of predictions is kept: it is all a result file stores
-    final = [triple for task_preds, (ids, labels, _, _) in zip(preds, test_sets)
-             for triple in zip(ids, labels, task_preds)]
 
+    # only the final predictions are kept: they are all a result file stores
     return RunResult(
         matrix=acc_matrix,
-        per_task_predictions=[final],
+        sample_ids=np.concatenate([ids for ids, _, _, _ in test_sets]),
+        truth=np.concatenate([labels for _, labels, _, _ in test_sets]),
+        predicted=np.array([label for task_preds in preds for label in task_preds], dtype=object),
         per_task_test_sizes=[len(labels) for _, labels, _, _ in test_sets],
         joint_reference_accuracies=joint_refs,
         manifest_echo=manifest_to_dict(manifest),

@@ -384,11 +384,28 @@ MALFORMED_RESULTS = {
     "joint_reference=[2.5, ...]": lambda doc: doc.__setitem__(
         "joint_reference", [2.5] * len(doc["config"]["tasks"])),
     "joint_reference short": lambda doc: doc.__setitem__("joint_reference", [0.5]),
-    # the sizes keep their sum, which the final prediction row is checked against
+    # the sizes keep their sum; only their split over the tasks is wrong
     "per_task_test_sizes=[0, ...]": lambda doc: _move_test_sizes(doc, 0),
     "per_task_test_sizes=[0.5, ...]": lambda doc: _move_test_sizes(doc, 0.5),
     "per_task_test_sizes=[n]": lambda doc: doc.__setitem__(
         "per_task_test_sizes", [sum(doc["per_task_test_sizes"])]),
+    # sizes that keep their sum but contradict the predictions' true classes
+    # loaded, and metrics and oracle weighted the tasks by them
+    "per_task_test_sizes one row moved": lambda doc: _move_test_sizes(
+        doc, doc["per_task_test_sizes"][0] - 1),
+    # prediction columns that are not one class index per sample id
+    "truth=[n_classes, ...]": lambda doc: doc["predictions"]["truth"].__setitem__(
+        0, sum(len(task["classes"]) for task in doc["config"]["tasks"])),
+    "truth=[-1, ...]": lambda doc: doc["predictions"]["truth"].__setitem__(0, -1),
+    "truth=[true, ...]": lambda doc: doc["predictions"]["truth"].__setitem__(0, True),
+    "predicted=[1.0, ...]": lambda doc: doc["predictions"]["predicted"].__setitem__(0, 1.0),
+    "predicted=['0', ...]": lambda doc: doc["predictions"]["predicted"].__setitem__(0, "0"),
+    "predicted one short": lambda doc: doc["predictions"]["predicted"].pop(),
+    "duplicate sample id": lambda doc: doc["predictions"]["sample_ids"].__setitem__(
+        1, doc["predictions"]["sample_ids"][0]),
+    "no predicted key": lambda doc: doc["predictions"].pop("predicted"),
+    # an older layout without its final row
+    "per_task_predictions=[]": lambda doc: _as_triples(doc)["per_task_predictions"].clear(),
     # a seed or an accuracy of another JSON type was coerced: 3.7 loaded as
     # 3, true as 1 and "1.0" as 1.0
     "seed=3.7": lambda doc: doc.__setitem__("seed", 3.7),
@@ -440,6 +457,18 @@ def _make_full(doc, covariance):
 def _packed(matrix):
     """The packed lower triangle of a square matrix, as a result file holds it."""
     return matrix[np.tri(len(matrix), dtype=bool)].tolist()
+
+
+def _as_triples(doc):
+    """doc in the prediction layout files had before class-index columns: a
+    one-element per_task_predictions list holding [sample_id, truth,
+    predicted] label triples."""
+    columns = doc.pop("predictions")
+    classes = [c for task in doc["config"]["tasks"] for c in task["classes"]]
+    doc["per_task_predictions"] = [[
+        [sid, classes[truth], classes[pred]]
+        for sid, truth, pred in zip(columns["sample_ids"], columns["truth"], columns["predicted"])]]
+    return doc
 
 
 def _move_test_sizes(doc, first):
@@ -506,7 +535,8 @@ class TestMetrics:
 
     def test_two_field_prediction_row_exits_2(self, results_file, tmp_path, capsys):
         bad = self.rewrite(results_file, tmp_path,
-                           lambda doc: doc["per_task_predictions"][0].__setitem__(0, ["s", "A"]))
+                           lambda doc: _as_triples(doc)["per_task_predictions"][0].__setitem__(
+                               0, ["s", "A"]))
         assert main(["metrics", "--results", bad]) == 2
         assert f"malformed results file {bad}" in capsys.readouterr().err
 
@@ -515,8 +545,11 @@ class TestMetrics:
     def test_incomplete_final_prediction_row_exits_2(self, results_file, tmp_path, capsys,
                                                      final_row, command):
         def cut(doc):
-            rows = doc["per_task_predictions"]
-            rows[-1:] = [] if final_row is None else [rows[-1][final_row]]
+            if final_row is None:
+                del doc["predictions"]
+            else:
+                for column in doc["predictions"].values():
+                    column[:] = column[final_row]
         bad = self.rewrite(results_file, tmp_path, cut)
         args = (["oracle", "--results-a", bad, "--results-b", bad] if command == "oracle"
                 else ["report", "--results", bad, "--out", str(tmp_path / "report")])
@@ -583,9 +616,14 @@ class TestOracle:
         # independent computation: each row's task from the manifest's class lists
         doc_a, doc_b = (json.loads(f.read_text()) for f in files)
         task_of = {c: t["name"] for t in doc_a["config"]["tasks"] for c in t["classes"]}
-        pred_b = {sid: pred for sid, _, pred in doc_b["per_task_predictions"][-1]}
+        classes = list(task_of)
+        pred_b = {sid: classes[pred] for sid, pred in zip(
+            doc_b["predictions"]["sample_ids"], doc_b["predictions"]["predicted"])}
         hits = {t["name"]: [] for t in doc_a["config"]["tasks"] + [{"name": "overall"}]}
-        for sid, truth, pred in doc_a["per_task_predictions"][-1]:
+        columns = doc_a["predictions"]
+        for sid, truth, pred in zip(columns["sample_ids"],
+                                    [classes[i] for i in columns["truth"]],
+                                    [classes[i] for i in columns["predicted"]]):
             row = (pred == truth, pred_b[sid] == truth, truth in (pred, pred_b[sid]))
             hits[task_of[truth]].append(row)
             hits["overall"].append(row)
@@ -611,11 +649,28 @@ class TestOracle:
 
     def test_mismatched_sample_ids_exit_2(self, results_file, tmp_path):
         doc = json.loads(Path(results_file).read_text())
-        doc["per_task_predictions"][-1][0][0] = "someone_else"
+        doc["predictions"]["sample_ids"][0] = "someone_else"
         other = tmp_path / "other.json"
         other.write_text(json.dumps(doc))
         assert main(["oracle", "--results-a", results_file,
                      "--results-b", str(other)]) == 2
+
+    def test_other_true_class_exits_2(self, results_file, tmp_path, capsys):
+        # another class of the same task, so that run B's file loads
+        doc = json.loads(Path(results_file).read_text())
+        sid, truth = doc["predictions"]["sample_ids"][0], doc["predictions"]["truth"][0]
+        classes = doc["config"]["tasks"][0]["classes"]
+        other_truth = (truth + 1) % len(classes)
+        assert other_truth != truth
+        doc["predictions"]["truth"][0] = other_truth
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["oracle", "--results-a", results_file, "--results-b", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: sample {sid!r} has true class {classes[truth]!r} in "
+                                f"{results_file} but {classes[other_truth]!r} in {other}\n")
 
 
 class TestReport:
@@ -724,13 +779,15 @@ def with_repeated_names(doc):
 
 class TestOldLayout:
     """Result files written before only the final prediction row was kept,
-    files written at indent 1 before per-seed files were compact, and files
-    that repeat the task names.
+    files written before predictions were class-index columns, files written
+    at indent 1 before per-seed files were compact, and files that repeat
+    the task names.
 
     Old-layout files hold one prediction row per task k plus stored
-    per-class counts; every command must read them, the current layout at
-    indent 1, and the current layout with task_names and fitted_on, exactly
-    as it reads the current compact file.
+    per-class counts, and triple files hold the final row alone, as
+    [sample_id, truth, predicted] label triples; every command must read
+    them, the current layout at indent 1, and the current layout with
+    task_names and fitted_on, exactly as it reads the current compact file.
     """
 
     @staticmethod
@@ -756,7 +813,7 @@ class TestOldLayout:
     def layouts(self, synth_dir, tmp_path):
         manifest = parse_manifest((synth_dir / "manifest.json").read_text())
         tables = [load_feature_table(s.path, s.dim, s.name) for s in manifest.modalities]
-        for name in ("old", "indented", "named", "new"):
+        for name in ("old", "triples", "indented", "named", "new"):
             (tmp_path / name).mkdir()
         for seed in (1, 2):
             result = run_continual(manifest, tables, seed)
@@ -768,12 +825,16 @@ class TestOldLayout:
             (tmp_path / "indented" / new.name).write_text(
                 json.dumps(doc, sort_keys=True, indent=1) + "\n")
             assert "task_names" not in doc and "fitted_on" not in text
+            triples = _as_triples(json.loads(text))
+            (tmp_path / "triples" / new.name).write_text(
+                json.dumps(triples, sort_keys=True, separators=(",", ":")) + "\n")
             doc = with_repeated_names(doc)
             (tmp_path / "named" / new.name).write_text(
                 json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
             rows = self.old_rows(manifest, tables, result)
             assert len(rows) == result.matrix.n_tasks > 1
-            assert [rows[-1]] == doc["per_task_predictions"]
+            assert [rows[-1]] == triples["per_task_predictions"]
+            del doc["predictions"]
             doc["per_task_predictions"] = rows
             counts = {}
             for _, truth, pred in rows[-1]:
@@ -781,7 +842,7 @@ class TestOldLayout:
             doc["per_class_correct"] = counts
             (tmp_path / "old" / new.name).write_text(
                 json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        return tmp_path / "old", tmp_path / "indented", tmp_path / "named", tmp_path / "new"
+        return tuple(tmp_path / name for name in ("old", "triples", "indented", "named", "new"))
 
     def outputs(self, directory, tmp_path, capsys):
         a, b = str(directory / "run_seed1.json"), str(directory / "run_seed2.json")
@@ -847,24 +908,26 @@ class TestOldLayout:
         assert self.outputs(old, tmp_path, capsys) == self.outputs(new, tmp_path, capsys)
 
     def test_old_file_loads_final_row(self, layouts):
-        old, _, named, new = layouts
+        old, triples, _, named, new = layouts
         doc = json.loads((old / "run_seed1.json").read_text())
         result = load_run_result(old / "run_seed1.json")
         assert len(doc["per_task_predictions"]) == result.matrix.n_tasks > 1
-        assert result.per_task_predictions == [
-            [tuple(p) for p in doc["per_task_predictions"][-1]]]
+        columns = [result.sample_ids, result.truth, result.predicted]
+        assert all(column.dtype == object for column in columns)
+        assert [list(row) for row in zip(*columns)] == doc["per_task_predictions"][-1]
         assert result.to_dict() == load_run_result(new / "run_seed1.json").to_dict()
         assert result.per_class_correct() == doc["per_class_correct"]
-        assert load_run_result(named / "run_seed1.json").to_dict() == result.to_dict()
+        for other in (triples, named):
+            assert load_run_result(other / "run_seed1.json").to_dict() == result.to_dict()
 
     def test_commands_give_identical_output(self, layouts, tmp_path, capsys):
-        old_out, indented_out, named_out, new_out = (
+        old_out, triples_out, indented_out, named_out, new_out = (
             self.outputs(d, tmp_path, capsys) for d in layouts)
         assert set(old_out) == {"metrics_csv", "metrics_json", "oracle",
                                 "run_seed1_task_accuracy.csv", "run_seed1_metrics.csv",
                                 "run_seed2_task_accuracy.csv", "run_seed2_metrics.csv",
                                 "per_class_correct.csv", "relative_evolution.csv", "inspect"}
-        assert old_out == indented_out == named_out == new_out
+        assert old_out == triples_out == indented_out == named_out == new_out
         assert new_out["inspect"].startswith(INSPECT_HEADER + "\n")
         assert set(json.loads(new_out["metrics_json"])) == {
             "AA", "AIA", "FM", "IM", "final_macro_accuracy", "final_micro_accuracy"}

@@ -143,7 +143,7 @@ class TestCachedScoring:
                 accuracy = sum(p == t for p, t in zip(preds, labels)) / len(labels)
                 assert result.matrix.get(k, j) == accuracy
                 expected.extend(zip(ids, labels, preds))
-        assert result.per_task_predictions == [expected]
+        assert list(zip(result.sample_ids, result.truth, result.predicted)) == expected
 
 
 class TestJointReference:
@@ -226,9 +226,7 @@ class TestOracleUnion:
     def test_dominates_individual_accuracies(self):
         manifest, tables = synthetic_setup()
         result = run_continual(manifest, tables, seed=7, compute_joint_reference=False)
-        final = result.per_task_predictions[-1]
-        truth = [t for _, t, _ in final]
-        preds = [p for _, _, p in final]
+        truth, preds = result.truth, result.predicted
         acc = sum(p == t for p, t in zip(preds, truth)) / len(truth)
         union = oracle_union_accuracy(preds, preds, truth)
         assert union == pytest.approx(acc)
@@ -265,14 +263,20 @@ class TestSerialization:
         back = load_run_result(path)
         doc = json.loads(path.read_text())
         assert "normalizer" not in doc
-        # the run and its file hold the final prediction row only, and no
-        # per-class counts
-        assert "per_class_correct" not in doc
-        assert result.matrix.n_tasks > 1 and len(result.per_task_predictions) == 1
-        final = [list(p) for p in result.per_task_predictions[0]]
-        assert len(final) == sum(result.per_task_test_sizes)
-        assert doc["per_task_predictions"] == [final]
-        assert back.per_task_predictions == result.per_task_predictions
+        # the run and its file hold the final predictions only, as columns,
+        # and no per-class counts
+        assert "per_class_correct" not in doc and "per_task_predictions" not in doc
+        assert result.matrix.n_tasks > 1
+        assert len(result.sample_ids) == len(result.truth) == len(result.predicted) \
+            == sum(result.per_task_test_sizes)
+        classes = [c for task in manifest.tasks for c in task.class_labels]
+        assert doc["predictions"] == {
+            "sample_ids": result.sample_ids.tolist(),
+            "truth": [classes.index(label) for label in result.truth],
+            "predicted": [classes.index(label) for label in result.predicted]}
+        for name in ("sample_ids", "truth", "predicted"):
+            assert getattr(back, name).dtype == object
+            assert getattr(back, name).tolist() == getattr(result, name).tolist()
         assert back.per_class_correct() == result.per_class_correct()
         assert back.ensemble.fusion.to_dict() == result.ensemble.fusion.to_dict()
         assert back.matrix.to_list() == result.matrix.to_list()
@@ -292,10 +296,10 @@ class TestSerialization:
         manifest, tables = synthetic_setup(n_basic=3, n_compound=2, spread=3.0)
         result = run_continual(manifest, tables, seed=2, compute_joint_reference=False)
         counts = result.per_class_correct()
-        final = result.per_task_predictions[-1]
-        assert list(counts) == list(dict.fromkeys(t for _, t, _ in final))
+        final = list(zip(result.truth, result.predicted))
+        assert list(counts) == list(dict.fromkeys(t for t, _ in final))
         for label, n_correct in counts.items():
-            assert n_correct == sum(1 for _, t, p in final if t == label and p == t)
+            assert n_correct == sum(1 for t, p in final if t == label and p == t)
         assert 0 < sum(counts.values()) < len(final)  # some right, some wrong
 
     def test_run_file_compact_and_aggregate_indented(self, tmp_path):
