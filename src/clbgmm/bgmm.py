@@ -45,6 +45,7 @@ never loads it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
 
@@ -94,14 +95,12 @@ class BgmmConfig:
             raise ValidationError("max_components must be >= 1")
         if self.covariance_type not in COVARIANCE_TYPES:
             raise ValidationError(f"unknown covariance_type {self.covariance_type!r}")
-        for name in ("mean_prior_strength", "precision_prior_shape",
-                     "variance_floor", "elbo_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.weight_concentration_prior is not None and self.weight_concentration_prior <= 0:
-            raise ValidationError("weight_concentration_prior must be positive")
-        if self.precision_prior_rate is not None and self.precision_prior_rate <= 0:
-            raise ValidationError("precision_prior_rate must be positive")
+        derived = ("weight_concentration_prior", "precision_prior_rate")  # None: from the data
+        for name in ("mean_prior_strength", "precision_prior_shape", "variance_floor",
+                     "elbo_tolerance", *derived):
+            value = getattr(self, name)
+            if not (value is None and name in derived or 0 < value < math.inf):  # NaN fails too
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
         if self.max_iterations < 1 or self.n_restarts < 1:
             raise ValidationError("max_iterations and n_restarts must be >= 1")
         if not (0.0 < self.prune_threshold < 1.0):

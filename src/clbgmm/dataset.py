@@ -113,6 +113,12 @@ class ExperimentManifest:
             if self.seeds.count(seed) > 1:
                 raise ValidationError(f"seed {seed} is listed more than once")
 
+    @property
+    def class_tasks(self) -> dict:
+        """Class label -> task index, in task order: the order that class
+        indices count in."""
+        return {label: k for k, task in enumerate(self.tasks) for label in task.class_labels}
+
 
 @dataclass(frozen=True)
 class DataSplit:
@@ -200,12 +206,17 @@ def _as_int(value, field: str) -> int:
 
 
 def parse_manifest(text: str) -> ExperimentManifest:
-    """Parse and validate a JSON manifest; a field of the wrong shape raises
-    ValidationError naming the field."""
+    """Parse and validate a JSON manifest; see manifest_from_dict."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    return manifest_from_dict(doc)
+
+
+def manifest_from_dict(doc) -> ExperimentManifest:
+    """Validate a decoded manifest, or a results file's config; a field of
+    the wrong shape raises ValidationError naming the field."""
     _expect(doc, dict, "manifest", "a JSON object")
     _known(doc, ("tasks", "modalities", "fusion", "bgmm", "seeds", "output", "use_class_priors"))
 
@@ -400,7 +411,7 @@ def build_task_sequence(manifest: ExperimentManifest, tables) -> list:
             )
         aligned.append(table.values[rows])
 
-    owner = {label: i for i, task in enumerate(manifest.tasks) for label in task.class_labels}
+    owner = manifest.class_tasks
     task_of = np.array([owner.get(label, -1) for label in primary.class_labels], dtype=np.intp)
     if (task_of < 0).any():
         label = primary.class_labels[np.argmin(task_of)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bgmm import BgmmConfig, FittedMixture, fit, log_likelihood_batch
-from .dataset import TaskBatch
+from .dataset import ExperimentManifest, TaskBatch
 from .errors import ValidationError
 from .fusion import MinMaxNormalizer, apply_normalizer, fuse
 
@@ -45,23 +45,13 @@ class FusionPipeline:
         return fuse(parts)
 
     def to_dict(self) -> dict:
+        """The normalizers; the modality order is the manifest's."""
         return {
-            "modality_order": list(self.modality_order),
             "normalizers": {
                 name: (norm.to_dict() if norm is not None else None)
                 for name, norm in self.normalizers.items()
             },
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "FusionPipeline":
-        return FusionPipeline(
-            modality_order=tuple(d["modality_order"]),
-            normalizers={
-                name: (MinMaxNormalizer.from_dict(nd) if nd is not None else None)
-                for name, nd in d["normalizers"].items()
-            },
-        )
 
 
 @dataclass
@@ -78,25 +68,60 @@ class ClassConditionalEnsemble:
         return len(self.models)
 
     def to_dict(self) -> dict:
+        """The fusion normalizers, the models in first-seen order and the
+        per-class training counts. The modality order and use_class_priors
+        are the manifest's, which a results file holds as its config."""
         return {
             "fusion": self.fusion.to_dict(),
             "models": [[label, mix.to_dict()] for label, mix in self.models.items()],
-            "use_class_priors": self.use_class_priors,
             "class_train_counts": dict(self.class_train_counts),
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "ClassConditionalEnsemble":
+    def from_dict(d: dict, manifest: ExperimentManifest) -> "ClassConditionalEnsemble":
+        """Rebuild the ensemble of a run of manifest, taking the modality
+        order and use_class_priors from it; the copies of the two that
+        older files hold are ignored. Raises ValidationError unless there is
+        one model and one positive integer training count per configured
+        class, a normalizer exactly for each normalized modality, of the
+        modality's dim, and every model spans the fused dim."""
+        classes = manifest.class_tasks
+        normalizers = dict.fromkeys(spec.name for spec in manifest.modalities)
+        stored = d["fusion"]["normalizers"]
+        if not isinstance(stored, dict) or set(stored) != set(normalizers):
+            raise ValidationError("fusion normalizers must be keyed by the configured modalities")
+        for spec in manifest.modalities:
+            if (stored[spec.name] is not None) != spec.normalize:
+                raise ValidationError(f"modality {spec.name!r}: a normalizer must be stored "
+                                      "exactly when normalize is true")
+            if spec.normalize:
+                norm = normalizers[spec.name] = MinMaxNormalizer.from_dict(stored[spec.name])
+                if not norm.per_dim_min.shape == norm.per_dim_max.shape == (spec.dim,):
+                    raise ValidationError(f"modality {spec.name!r}: the normalizer needs "
+                                          f"{spec.dim} per_dim_min and per_dim_max values")
+        counts = d["class_train_counts"]
+        if not (isinstance(counts, dict) and set(counts) == set(classes)
+                and all(type(n) is int and n > 0 for n in counts.values())):
+            raise ValidationError("class_train_counts must give each configured class "
+                                  "a positive integer")
         ens = ClassConditionalEnsemble(
-            fusion=FusionPipeline.from_dict(d["fusion"]),
-            use_class_priors=bool(d.get("use_class_priors", False)),
-            class_train_counts=dict(d.get("class_train_counts", {})),
-        )
+            fusion=FusionPipeline(modality_order=tuple(normalizers), normalizers=normalizers),
+            use_class_priors=manifest.use_class_priors, class_train_counts=dict(counts))
+        fused_dim = sum(spec.dim for spec in manifest.modalities)
         for label, mix_dict in d["models"]:
+            if label not in classes or label in ens.models:
+                raise ValidationError(f"model of class {label!r}: not a configured class, "
+                                      "or stored twice")
             try:
-                ens.models[label] = FittedMixture.from_dict(mix_dict)
+                mixture = ens.models[label] = FittedMixture.from_dict(mix_dict)
             except ValidationError as exc:
                 raise ValidationError(f"class {label!r}: {exc}") from exc
+            if mixture.dim != fused_dim:
+                raise ValidationError(f"class {label!r}: the model has dim {mixture.dim}, "
+                                      f"the fused features {fused_dim}")
+        if len(ens.models) != len(classes):
+            missing = next(label for label in classes if label not in ens.models)
+            raise ValidationError(f"no model of class {missing!r}")
         return ens
 
 

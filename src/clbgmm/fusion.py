@@ -61,6 +61,5 @@ def apply_normalizer(norm: MinMaxNormalizer, v) -> np.ndarray:
 
 
 def fuse(parts) -> np.ndarray:
-    """Concatenate per-modality (N, D_m) matrices (or (D_m,) vectors) column-wise,
-    in the given order."""
+    """Concatenate per-modality (N, D_m) matrices column-wise, in the given order."""
     return np.hstack([np.asarray(part, dtype=np.float64) for part in parts])

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (DataSplit, ExperimentManifest, TaskBatch, build_task_sequence,
-                      manifest_to_dict, read_utf8)
+                      manifest_from_dict, manifest_to_dict, read_utf8)
 from .ensemble import (
     ClassConditionalEnsemble,
     FusionPipeline,
@@ -47,17 +47,17 @@ def _list_of(values, n: int, valid) -> bool:
     return isinstance(values, list) and len(values) == n and all(map(valid, values))
 
 
-def _class_tasks(config: dict) -> dict:
-    """Class label -> task index, in the task order that class indices count in."""
-    return {label: k for k, task in enumerate(config["tasks"]) for label in task["classes"]}
-
-
 @dataclass
 class RunResult:
-    """One seed's run. ``sample_ids``, ``truth`` and ``predicted`` are parallel
-    object arrays of str: the prediction after the final task for every test
-    sample of tasks 1..T, in task order. The file stores truth and predicted
-    as indices into the class labels of ``config.tasks``, in task order."""
+    """One seed's run of ``manifest``. ``sample_ids``, ``truth`` and
+    ``predicted`` are parallel object arrays of str: the prediction after the
+    final task for every test sample of tasks 1..T, in task order.
+
+    The file's ``config`` is the manifest, checked on load as a manifest is.
+    Each config fact is stated there alone: task names, classes and their
+    task order, the modality order and ``use_class_priors``. The file stores
+    truth and predicted as indices into the class labels of ``config.tasks``,
+    in task order."""
 
     matrix: AccuracyMatrix
     sample_ids: np.ndarray
@@ -65,7 +65,7 @@ class RunResult:
     predicted: np.ndarray
     per_task_test_sizes: list
     joint_reference_accuracies: list | None
-    manifest_echo: dict
+    manifest: ExperimentManifest
     seed: int
     ensemble: ClassConditionalEnsemble
 
@@ -76,9 +76,9 @@ class RunResult:
         return [list(zip(self.sample_ids, self.truth, self.predicted))]
 
     def to_dict(self) -> dict:
-        index = {label: i for i, label in enumerate(_class_tasks(self.manifest_echo))}
+        index = {label: i for i, label in enumerate(self.manifest.class_tasks)}
         return {
-            "config": self.manifest_echo,
+            "config": manifest_to_dict(self.manifest),
             "seed": self.seed,
             "accuracy_matrix": self.matrix.to_list(),
             "predictions": {"sample_ids": self.sample_ids.tolist(),
@@ -95,13 +95,17 @@ class RunResult:
         ValueError, TypeError or ValidationError. The task names come from
         config; the task_names key of older files repeats them and is
         ignored."""
+        try:
+            manifest = manifest_from_dict(d["config"])
+        except ValidationError as exc:
+            raise ValidationError(f"config: {exc}") from exc
         seed = d["seed"]
         if not _is_integer(seed):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         entries = d["accuracy_matrix"]
         if not all(isinstance(row, list) and all(map(_is_number, row)) for row in entries):
             raise ValueError("accuracy_matrix entries must be numbers")
-        matrix = AccuracyMatrix.from_rows(entries, [t["name"] for t in d["config"]["tasks"]])
+        matrix = AccuracyMatrix.from_rows(entries, [task.name for task in manifest.tasks])
         t = matrix.n_tasks
         sizes = d["per_task_test_sizes"]
         if not _list_of(sizes, t, lambda s: _is_integer(s) and s > 0):
@@ -109,7 +113,7 @@ class RunResult:
         refs = d.get("joint_reference")
         if refs is not None and not _list_of(refs, t, lambda a: _is_number(a) and 0.0 <= a <= 1.0):
             raise ValueError(f"joint_reference must be null or {t} numbers in [0, 1]")
-        class_tasks = _class_tasks(d["config"])
+        class_tasks = manifest.class_tasks
         if "predictions" in d or "per_task_predictions" not in d:
             columns = d["predictions"]
             ids, truth, predicted = columns["sample_ids"], columns["truth"], columns["predicted"]
@@ -146,9 +150,9 @@ class RunResult:
             predicted=labels[predicted],
             per_task_test_sizes=list(sizes),
             joint_reference_accuracies=refs,
-            manifest_echo=dict(d["config"]),
+            manifest=manifest,
             seed=seed,
-            ensemble=ClassConditionalEnsemble.from_dict(d["ensembles"]),
+            ensemble=ClassConditionalEnsemble.from_dict(d["ensembles"], manifest),
         )
 
     def metrics(self) -> MetricsReport:
@@ -157,7 +161,7 @@ class RunResult:
 
     def task_of_rows(self) -> np.ndarray:
         """Index of the task that owns each row's true class."""
-        class_tasks = _class_tasks(self.manifest_echo)
+        class_tasks = self.manifest.class_tasks
         return np.array([class_tasks[label] for label in self.truth], dtype=np.intp)
 
     def per_class_correct(self) -> dict:
@@ -230,7 +234,7 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
         predicted=np.array([label for task_preds in preds for label in task_preds], dtype=object),
         per_task_test_sizes=[len(labels) for _, labels, _, _ in test_sets],
         joint_reference_accuracies=joint_refs,
-        manifest_echo=manifest_to_dict(manifest),
+        manifest=manifest,
         seed=seed,
         ensemble=ensemble,
     )

@@ -127,6 +127,19 @@ MALFORMED_MANIFESTS = {
     "unsupported fusion strategy 'sum'": lambda m: m.__setitem__("fusion", {"strategy": "sum"}),
     "task 0: missing required field 'name' or 'classes'": lambda m: m["tasks"][0].pop("name"),
     "modality 1: missing required field 'path'": lambda m: m["modalities"][1].pop("path"),
+    # JSON's NaN and Infinity passed the range checks: a NaN elbo_tolerance ran
+    # every fit to max_iterations and wrote NaN, which is not JSON, into the
+    # results file; the others ended in a numerical failure (exit 3)
+    "elbo_tolerance=NaN": lambda m: m["bgmm"].__setitem__("elbo_tolerance", float("nan")),
+    "mean_prior_strength=NaN": lambda m: m["bgmm"].__setitem__(
+        "mean_prior_strength", float("nan")),
+    "precision_prior_rate=NaN": lambda m: m["bgmm"].__setitem__(
+        "precision_prior_rate", float("nan")),
+    "precision_prior_shape=NaN": lambda m: m["bgmm"].__setitem__(
+        "precision_prior_shape", float("nan")),
+    "variance_floor=Infinity": lambda m: m["bgmm"].__setitem__("variance_floor", float("inf")),
+    "weight_concentration_prior=Infinity": lambda m: m["bgmm"].__setitem__(
+        "weight_concentration_prior", float("inf")),
 }
 
 
@@ -439,11 +452,50 @@ MALFORMED_RESULTS = {
         doc, lambda d: _packed(np.eye(d) + 2.0 * np.eye(d, k=-1))),
     "full, (J, D, D) not finite": lambda doc: _make_full(
         doc, lambda d: np.where(np.eye(d) > 0, np.inf, 0.0).tolist()),
+    # config is checked as a manifest is; all but the first loaded
+    "config class in two tasks": lambda doc: doc["config"]["tasks"][1]["classes"].append(
+        doc["config"]["tasks"][0]["classes"][0]),
+    "config repeated task name": lambda doc: doc["config"]["tasks"][1].__setitem__(
+        "name", doc["config"]["tasks"][0]["name"]),
+    # one character per class, so that every class index keeps its task
+    "config classes='01'": lambda doc: doc["config"]["tasks"][-1].__setitem__(
+        "classes", "".join(map(str, range(len(doc["config"]["tasks"][-1]["classes"]))))),
+    "config task name=7": lambda doc: doc["config"]["tasks"][0].__setitem__("name", 7),
+    "config covariance_type='banana'": lambda doc: doc["config"]["bgmm"].__setitem__(
+        "covariance_type", "banana"),
+    "config seeds='x'": lambda doc: doc["config"].__setitem__("seeds", "x"),
+    "config elbo_tolerance=NaN": lambda doc: doc["config"]["bgmm"].__setitem__(
+        "elbo_tolerance", float("nan")),
+    # an ensemble that does not fit its config loaded
+    "one class model deleted": lambda doc: doc["ensembles"]["models"].pop(),
+    "model relabelled 'zzz'": lambda doc: doc["ensembles"]["models"][0].__setitem__(0, "zzz"),
+    "model stored twice": lambda doc: doc["ensembles"]["models"][1].__setitem__(
+        0, doc["ensembles"]["models"][0][0]),
+    "model dim one short": lambda doc: [row.pop() for key in ("means", "covariances")
+                                        for row in _first_model(doc)[key]],
+    "class_train_counts={'basic_0': 'x'}": lambda doc: doc["ensembles"].__setitem__(
+        "class_train_counts", {"basic_0": "x"}),
+    "class_train_counts one 0": lambda doc: _first_count(doc, 0),
+    "class_train_counts one 2.0": lambda doc: _first_count(doc, 2.0),
+    "mod_a per_dim_min one short": lambda doc: _normalizers(doc)["mod_a"]["per_dim_min"].pop(),
+    "mod_a normalizer null": lambda doc: _normalizers(doc).__setitem__("mod_a", None),
+    "mod_b normalizer not null": lambda doc: _normalizers(doc).__setitem__(
+        "mod_b", _normalizers(doc)["mod_a"]),
+    "no mod_b normalizer": lambda doc: _normalizers(doc).pop("mod_b"),
 }
 
 
 def _first_model(doc):
     return doc["ensembles"]["models"][0][1]
+
+
+def _first_count(doc, value):
+    counts = doc["ensembles"]["class_train_counts"]
+    counts[next(iter(counts))] = value
+
+
+def _normalizers(doc):
+    return doc["ensembles"]["fusion"]["normalizers"]
 
 
 def _make_full(doc, covariance):
@@ -777,17 +829,29 @@ def with_repeated_names(doc):
     return dict(doc, task_names=names)
 
 
+def with_ensemble_echo(doc):
+    """doc with the keys that files held before the modality order and
+    use_class_priors came from config alone."""
+    ensembles = doc["ensembles"]
+    assert "use_class_priors" not in ensembles and set(ensembles["fusion"]) == {"normalizers"}
+    ensembles["use_class_priors"] = doc["config"]["use_class_priors"]
+    ensembles["fusion"]["modality_order"] = [m["name"] for m in doc["config"]["modalities"]]
+    return doc
+
+
 class TestOldLayout:
     """Result files written before only the final prediction row was kept,
     files written before predictions were class-index columns, files written
-    at indent 1 before per-seed files were compact, and files that repeat
-    the task names.
+    at indent 1 before per-seed files were compact, files that repeat the
+    task names, and files whose ensembles repeat the modality order and
+    use_class_priors.
 
     Old-layout files hold one prediction row per task k plus stored
     per-class counts, and triple files hold the final row alone, as
     [sample_id, truth, predicted] label triples; every command must read
     them, the current layout at indent 1, and the current layout with
-    task_names and fitted_on, exactly as it reads the current compact file.
+    task_names and fitted_on or with the ensembles' copies of config, exactly
+    as it reads the current compact file.
     """
 
     @staticmethod
@@ -813,7 +877,8 @@ class TestOldLayout:
     def layouts(self, synth_dir, tmp_path):
         manifest = parse_manifest((synth_dir / "manifest.json").read_text())
         tables = [load_feature_table(s.path, s.dim, s.name) for s in manifest.modalities]
-        for name in ("old", "triples", "indented", "named", "new"):
+        names = ("old", "triples", "indented", "named", "echoed", "new")
+        for name in names:
             (tmp_path / name).mkdir()
         for seed in (1, 2):
             result = run_continual(manifest, tables, seed)
@@ -826,6 +891,9 @@ class TestOldLayout:
                 json.dumps(doc, sort_keys=True, indent=1) + "\n")
             assert "task_names" not in doc and "fitted_on" not in text
             triples = _as_triples(json.loads(text))
+            (tmp_path / "echoed" / new.name).write_text(
+                json.dumps(with_ensemble_echo(json.loads(text)), sort_keys=True,
+                           separators=(",", ":")) + "\n")
             (tmp_path / "triples" / new.name).write_text(
                 json.dumps(triples, sort_keys=True, separators=(",", ":")) + "\n")
             doc = with_repeated_names(doc)
@@ -842,7 +910,7 @@ class TestOldLayout:
             doc["per_class_correct"] = counts
             (tmp_path / "old" / new.name).write_text(
                 json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        return tuple(tmp_path / name for name in ("old", "triples", "indented", "named", "new"))
+        return tuple(tmp_path / name for name in names)
 
     def outputs(self, directory, tmp_path, capsys):
         a, b = str(directory / "run_seed1.json"), str(directory / "run_seed2.json")
@@ -908,7 +976,7 @@ class TestOldLayout:
         assert self.outputs(old, tmp_path, capsys) == self.outputs(new, tmp_path, capsys)
 
     def test_old_file_loads_final_row(self, layouts):
-        old, triples, _, named, new = layouts
+        old, triples, _, named, echoed, new = layouts
         doc = json.loads((old / "run_seed1.json").read_text())
         result = load_run_result(old / "run_seed1.json")
         assert len(doc["per_task_predictions"]) == result.matrix.n_tasks > 1
@@ -917,17 +985,17 @@ class TestOldLayout:
         assert [list(row) for row in zip(*columns)] == doc["per_task_predictions"][-1]
         assert result.to_dict() == load_run_result(new / "run_seed1.json").to_dict()
         assert result.per_class_correct() == doc["per_class_correct"]
-        for other in (triples, named):
+        for other in (triples, named, echoed):
             assert load_run_result(other / "run_seed1.json").to_dict() == result.to_dict()
 
     def test_commands_give_identical_output(self, layouts, tmp_path, capsys):
-        old_out, triples_out, indented_out, named_out, new_out = (
+        old_out, triples_out, indented_out, named_out, echoed_out, new_out = (
             self.outputs(d, tmp_path, capsys) for d in layouts)
         assert set(old_out) == {"metrics_csv", "metrics_json", "oracle",
                                 "run_seed1_task_accuracy.csv", "run_seed1_metrics.csv",
                                 "run_seed2_task_accuracy.csv", "run_seed2_metrics.csv",
                                 "per_class_correct.csv", "relative_evolution.csv", "inspect"}
-        assert old_out == triples_out == indented_out == named_out == new_out
+        assert old_out == triples_out == indented_out == named_out == echoed_out == new_out
         assert new_out["inspect"].startswith(INSPECT_HEADER + "\n")
         assert set(json.loads(new_out["metrics_json"])) == {
             "AA", "AIA", "FM", "IM", "final_macro_accuracy", "final_micro_accuracy"}

@@ -15,6 +15,7 @@ from clbgmm.dataset import (
     build_task_sequence,
     generate_synthetic,
     load_feature_table,
+    manifest_from_dict,
     parse_manifest,
     read_utf8,
     write_feature_table,
@@ -108,8 +109,12 @@ class TestParseManifest:
         doc = dict(MINIMAL)
         doc["tasks"] = CFEE_TASKS
         man = parse_manifest(json.dumps(doc))
+        assert man == manifest_from_dict(doc)
         assert [t.name for t in man.tasks] == [t["name"] for t in CFEE_TASKS]
         assert [len(t.class_labels) for t in man.tasks] == [7, 3, 4, 3, 3, 2]
+        # class indices count in task order
+        assert list(man.class_tasks.items()) == [
+            (c, k) for k, t in enumerate(CFEE_TASKS) for c in t["classes"]]
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "manifest.json"

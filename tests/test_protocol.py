@@ -12,6 +12,7 @@ from clbgmm.dataset import (
     TaskSpec,
     build_task_sequence,
     generate_synthetic,
+    manifest_to_dict,
 )
 from clbgmm.ensemble import ClassConditionalEnsemble, predict_batch
 from clbgmm.errors import ValidationError
@@ -278,7 +279,14 @@ class TestSerialization:
             assert getattr(back, name).dtype == object
             assert getattr(back, name).tolist() == getattr(result, name).tolist()
         assert back.per_class_correct() == result.per_class_correct()
+        # the config is the manifest, stated once: the ensembles do not repeat it
+        assert back.manifest == manifest
+        assert back.to_dict()["config"] == doc["config"] == manifest_to_dict(manifest)
+        assert "use_class_priors" not in doc["ensembles"]
+        assert set(doc["ensembles"]["fusion"]) == {"normalizers"}
         assert back.ensemble.fusion.to_dict() == result.ensemble.fusion.to_dict()
+        assert back.ensemble.fusion.modality_order == result.ensemble.fusion.modality_order
+        assert back.ensemble.use_class_priors == manifest.use_class_priors
         assert back.matrix.to_list() == result.matrix.to_list()
         assert back.metrics().to_dict() == result.metrics().to_dict()
         for label, mix in result.ensemble.models.items():
