@@ -22,12 +22,11 @@ from .dataset import (
 )
 from .ensemble import (
     ClassConditionalEnsemble,
-    FusionPipeline,
     predict_batch,
     train_task,
 )
 from .errors import ClbgmmError, NumericalError, ValidationError
-from .fusion import MinMaxNormalizer, apply_normalizer, fit_normalizer, fuse
+from .fusion import FusionPipeline, MinMaxNormalizer, apply_normalizer, fit_normalizer, fuse
 from .metrics import (
     AccuracyMatrix,
     MetricsReport,

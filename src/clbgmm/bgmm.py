@@ -422,7 +422,6 @@ class _Priors:
     log_b0: np.ndarray
     nu0: float | None = None     # Wishart dof (full)
     w0_inv: np.ndarray | None = None
-    w0_logdet: float | None = None
     log_b_p: float | None = None  # log normaliser of the Wishart prior
 
 
@@ -451,8 +450,8 @@ def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
         # Wishart prior matching E[precision] = 1/rate per dimension
         pri.nu0 = nu0
         pri.w0_inv = np.diag(nu0 * rate)
-        pri.w0_logdet = -float(np.sum(np.log(nu0 * rate)))
-        pri.log_b_p = -0.5 * nu0 * pri.w0_logdet - 0.5 * nu0 * d * LOG_2 \
+        w0_logdet = -float(np.sum(np.log(nu0 * rate)))
+        pri.log_b_p = -0.5 * nu0 * w0_logdet - 0.5 * nu0 * d * LOG_2 \
             - 0.25 * d * (d - 1) * LOG_PI - lg[3:].sum()
     return pri
 

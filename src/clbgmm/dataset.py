@@ -155,8 +155,9 @@ class SyntheticConfig:
             raise ValidationError("modality dimensions must be >= 1")
         if self.samples_per_class_train < 1 or self.samples_per_class_test < 1:
             raise ValidationError("per-class sample counts must be positive")
-        if self.cluster_spread <= 0:
-            raise ValidationError("cluster_spread must be positive")
+        if not 0 < self.cluster_spread < math.inf:  # NaN fails too
+            raise ValidationError(f"cluster_spread must be positive and finite, "
+                                  f"got {self.cluster_spread!r}")
         if not (0.0 <= self.modality_bias <= 1.0):
             raise ValidationError("modality_bias must lie in [0, 1]")
         n_pairs = self.n_basic_classes * (self.n_basic_classes - 1) // 2
@@ -385,10 +386,16 @@ def write_feature_table(table: FeatureTable, path) -> None:
 def build_task_sequence(manifest: ExperimentManifest, tables) -> list:
     """Join modality tables on sample_id and route samples to their tasks.
 
-    Rows keep the first (primary) table's order within every task split.
+    A run's data is checked here, before its first fit: each table's dim, the
+    alignment, every class in a task, then per task the training rows of each
+    class and the test rows. Rows keep the primary (first) table's order.
     """
     if len(tables) != len(manifest.modalities):
         raise ValidationError("one table per declared modality is required")
+    for table, spec in zip(tables, manifest.modalities):
+        if table.dim != spec.dim:
+            raise ValidationError(f"modality {spec.name!r}: the table has dim {table.dim}, "
+                                  f"the manifest declares {spec.dim}")
 
     primary = tables[0]
     position = {sample_id: i for i, sample_id in enumerate(primary.sample_ids)}
@@ -430,6 +437,11 @@ def build_task_sequence(manifest: ExperimentManifest, tables) -> list:
     batches = []
     for i, task in enumerate(manifest.tasks):
         in_task = task_of == i
+        untrained = sorted(set(task.class_labels).difference(primary.class_labels[in_task & is_train]))
+        if untrained:
+            raise ValidationError(f"class {untrained[0]!r} has no training samples")
+        if not (in_task & ~is_train).any():
+            raise ValidationError(f"task {task.name!r} has no test samples")
         batches.append(TaskBatch(
             name=task.name,
             class_set=frozenset(task.class_labels),

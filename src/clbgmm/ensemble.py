@@ -17,7 +17,7 @@ import numpy as np
 from .bgmm import BgmmConfig, FittedMixture, fit, log_likelihood_batch
 from .dataset import ExperimentManifest, TaskBatch
 from .errors import ValidationError
-from .fusion import MinMaxNormalizer, apply_normalizer, fuse
+from .fusion import FusionPipeline
 
 logger = logging.getLogger("clbgmm")
 
@@ -26,32 +26,6 @@ def derive_class_seed(run_seed: int, class_label: str) -> int:
     """Stable per-class fit seed, decorrelated across classes."""
     digest = hashlib.sha256(f"{run_seed}:{class_label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class FusionPipeline:
-    """Frozen per-modality normalizers plus the modality concatenation order."""
-
-    modality_order: tuple                 # modality names, manifest order
-    normalizers: dict                     # name -> MinMaxNormalizer | None
-
-    def transform(self, features: dict) -> np.ndarray:
-        """Normalize each modality's (N, D_m) matrix, then concatenate them
-        column-wise in modality order."""
-        parts = []
-        for name in self.modality_order:
-            norm = self.normalizers.get(name)
-            parts.append(features[name] if norm is None else apply_normalizer(norm, features[name]))
-        return fuse(parts)
-
-    def to_dict(self) -> dict:
-        """The normalizers; the modality order is the manifest's."""
-        return {
-            "normalizers": {
-                name: (norm.to_dict() if norm is not None else None)
-                for name, norm in self.normalizers.items()
-            },
-        }
 
 
 @dataclass
@@ -81,32 +55,19 @@ class ClassConditionalEnsemble:
     def from_dict(d: dict, manifest: ExperimentManifest) -> "ClassConditionalEnsemble":
         """Rebuild the ensemble of a run of manifest, taking the modality
         order and use_class_priors from it; the copies of the two that
-        older files hold are ignored. Raises ValidationError unless there is
-        one model and one positive integer training count per configured
-        class, a normalizer exactly for each normalized modality, of the
-        modality's dim, and every model spans the fused dim."""
+        older files hold are ignored. Raises ValidationError unless the
+        fusion normalizers pass ``FusionPipeline.from_dict``, there is one
+        model and one positive integer training count per configured class,
+        and every model spans the fused dim."""
         classes = manifest.class_tasks
-        normalizers = dict.fromkeys(spec.name for spec in manifest.modalities)
-        stored = d["fusion"]["normalizers"]
-        if not isinstance(stored, dict) or set(stored) != set(normalizers):
-            raise ValidationError("fusion normalizers must be keyed by the configured modalities")
-        for spec in manifest.modalities:
-            if (stored[spec.name] is not None) != spec.normalize:
-                raise ValidationError(f"modality {spec.name!r}: a normalizer must be stored "
-                                      "exactly when normalize is true")
-            if spec.normalize:
-                norm = normalizers[spec.name] = MinMaxNormalizer.from_dict(stored[spec.name])
-                if not norm.per_dim_min.shape == norm.per_dim_max.shape == (spec.dim,):
-                    raise ValidationError(f"modality {spec.name!r}: the normalizer needs "
-                                          f"{spec.dim} per_dim_min and per_dim_max values")
+        fusion = FusionPipeline.from_dict(d["fusion"], manifest.modalities)
         counts = d["class_train_counts"]
         if not (isinstance(counts, dict) and set(counts) == set(classes)
                 and all(type(n) is int and n > 0 for n in counts.values())):
             raise ValidationError("class_train_counts must give each configured class "
                                   "a positive integer")
-        ens = ClassConditionalEnsemble(
-            fusion=FusionPipeline(modality_order=tuple(normalizers), normalizers=normalizers),
-            use_class_priors=manifest.use_class_priors, class_train_counts=dict(counts))
+        ens = ClassConditionalEnsemble(fusion=fusion, use_class_priors=manifest.use_class_priors,
+                                       class_train_counts=dict(counts))
         fused_dim = sum(spec.dim for spec in manifest.modalities)
         for label, mix_dict in d["models"]:
             if label not in classes or label in ens.models:

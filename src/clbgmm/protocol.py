@@ -23,14 +23,9 @@ import numpy as np
 
 from .dataset import (DataSplit, ExperimentManifest, TaskBatch, build_task_sequence,
                       manifest_from_dict, manifest_to_dict, read_utf8)
-from .ensemble import (
-    ClassConditionalEnsemble,
-    FusionPipeline,
-    predict_batch,
-    train_task,
-)
+from .ensemble import ClassConditionalEnsemble, predict_batch, train_task
 from .errors import ValidationError
-from .fusion import fit_normalizer
+from .fusion import FusionPipeline
 from .metrics import AccuracyMatrix, MetricsReport, accuracy, compute_report
 
 
@@ -183,26 +178,13 @@ class AggregateResult:
 
 def _build_fusion(manifest: ExperimentManifest, first_batch: TaskBatch) -> FusionPipeline:
     """Fit min-max statistics on task 1 training data, then freeze them."""
-    features = first_batch.train.features
-    return FusionPipeline(
-        modality_order=tuple(spec.name for spec in manifest.modalities),
-        normalizers={
-            spec.name: fit_normalizer(features[spec.name]) if spec.normalize else None
-            for spec in manifest.modalities
-        },
-    )
-
-
-def _fused_test_set(fusion: FusionPipeline, batch: TaskBatch) -> tuple:
-    test = batch.test
-    if len(test.sample_ids) == 0:
-        raise ValidationError(f"task {batch.name!r} has no test samples")
-    return test.sample_ids, test.class_labels, fusion.transform(test.features)
+    return FusionPipeline.fit(manifest.modalities, first_batch.train.features)
 
 
 def run_continual(manifest: ExperimentManifest, tables, seed: int,
                   compute_joint_reference: bool = True) -> RunResult:
-    """One sequential class-incremental run producing the accuracy matrix."""
+    """One sequential class-incremental run producing the accuracy matrix; the
+    data is checked by ``build_task_sequence``, before the first fit."""
     batches = build_task_sequence(manifest, tables)
     fusion = _build_fusion(manifest, batches[0])
     ensemble = ClassConditionalEnsemble(
@@ -214,7 +196,8 @@ def run_continual(manifest: ExperimentManifest, tables, seed: int,
     rows = []
     for k, batch in enumerate(batches, start=1):
         train_task(ensemble, batch, manifest.bgmm_config, seed)
-        test_sets.append((*_fused_test_set(fusion, batch), []))
+        test = batch.test
+        test_sets.append((test.sample_ids, test.class_labels, fusion.transform(test.features), []))
         batches[k - 1] = None  # release training data: exemplar-free by construction
 
         preds = [predict_batch(ensemble, matrix, columns) for _, _, matrix, columns in test_sets]
@@ -265,14 +248,14 @@ def train_joint_reference(manifest: ExperimentManifest, tables, k: int, seed: in
             sample_ids=np.concatenate([t.sample_ids for t in trains]),
             class_labels=np.concatenate([t.class_labels for t in trains]),
             features={name: np.vstack([t.features[name] for t in trains])
-                      for name in fusion.modality_order},
+                      for name in fusion.normalizers},
         ),
         test=batches[k - 1].test,
     )
     train_task(ensemble, joined, manifest.bgmm_config, seed)
 
-    _, labels, matrix = _fused_test_set(fusion, batches[k - 1])
-    return accuracy(predict_batch(ensemble, matrix), labels)
+    test = joined.test
+    return accuracy(predict_batch(ensemble, fusion.transform(test.features)), test.class_labels)
 
 
 def oracle_union_accuracy(preds_a, preds_b, truth) -> float:

@@ -688,7 +688,8 @@ def _loop_kl_terms(pri, state, scale):
         log_b_q = -0.5 * nu[k] * logdet_w - 0.5 * nu[k] * d * np.log(2.0) \
             - 0.25 * d * (d - 1) * np.log(np.pi) \
             - np.sum(gammaln(0.5 * (nu[k] + 1 - idx)))
-        log_b_p = -0.5 * pri.nu0 * pri.w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
+        w0_logdet = -np.linalg.slogdet(pri.w0_inv)[1]
+        log_b_p = -0.5 * pri.nu0 * w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
             - 0.25 * d * (d - 1) * np.log(np.pi) \
             - np.sum(gammaln(0.5 * (pri.nu0 + 1 - idx)))
         kl += log_b_q - log_b_p + 0.5 * (nu[k] - pri.nu0) * elog_det \

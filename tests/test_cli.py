@@ -54,6 +54,13 @@ class TestSynth:
                      "--basic", "3", "--compound", "100"])
         assert code == 2
 
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_spread_exits_2(self, tmp_path, capsys, spread):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--spread", spread]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cluster_spread must be positive and finite, got {spread}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "-1"]) == 2
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
@@ -157,31 +164,48 @@ class TestRun:
         bad.write_text(json.dumps(manifest))
         assert main(["run", "--manifest", str(bad)]) == 2
 
-    def write_dataset(self, tmp_path, rows):
+    def write_dataset(self, tmp_path, rows, classes=("A", "B")):
+        """A one-modality dataset with one task per class, t1, t2, ..."""
         (tmp_path / "m.csv").write_text(
             "sample_id,class,split,f_0\n" + "".join(f"{r}\n" for r in rows))
         manifest = {
-            "tasks": [{"name": "t1", "classes": ["A"]}, {"name": "t2", "classes": ["B"]}],
+            "tasks": [{"name": f"t{i}", "classes": [c]} for i, c in enumerate(classes, start=1)],
             "modalities": [{"name": "m", "path": str(tmp_path / "m.csv"), "dim": 1}],
             "seeds": [1], "output": str(tmp_path / "res"),
         }
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         return str(tmp_path / "manifest.json")
 
-    def test_task_without_test_samples_exits_2(self, tmp_path, capsys):
+    @staticmethod
+    def count_fits(monkeypatch):
+        """The list of the rows of each class fit the run makes, in order."""
+        fits, fit = [], clbgmm.ensemble.fit
+
+        def counted(rows, *args):
+            fits.append(rows)
+            return fit(rows, *args)
+        monkeypatch.setattr("clbgmm.ensemble.fit", counted)
+        return fits
+
+    def test_task_without_test_samples_exits_2(self, tmp_path, capsys, monkeypatch):
+        fits = self.count_fits(monkeypatch)
         manifest = self.write_dataset(tmp_path, [
             "a1,A,train,0.0", "a2,A,train,0.5", "a3,A,test,0.2",
             "b1,B,train,5.0", "b2,B,train,5.5",
-        ])
+            "c1,C,train,9.0", "c2,C,train,9.5", "c3,C,test,9.2",
+        ], classes=("A", "B", "C"))
         assert main(["run", "--manifest", manifest]) == 2
-        assert "task 't2' has no test samples" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: task 't2' has no test samples\n"
+        assert fits == []
 
-    def test_class_without_training_samples_exits_2(self, tmp_path, capsys):
+    def test_class_without_training_samples_exits_2(self, tmp_path, capsys, monkeypatch):
+        fits = self.count_fits(monkeypatch)
         manifest = self.write_dataset(tmp_path, [
             "a1,A,train,0.0", "a2,A,train,0.5", "a3,A,test,0.2", "b1,B,test,5.0",
         ])
         assert main(["run", "--manifest", manifest]) == 2
         assert capsys.readouterr().err == "error: class 'B' has no training samples\n"
+        assert fits == []
 
     @pytest.mark.parametrize("text,message", [
         ("", "empty file"),

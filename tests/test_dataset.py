@@ -59,6 +59,10 @@ INVALID_OBJECTS = {
                "per-class sample counts must be positive"),
     "spread=0": (lambda: SyntheticConfig(2, 0, cluster_spread=0.0),
                  "cluster_spread must be positive"),
+    "spread=nan": (lambda: SyntheticConfig(2, 0, cluster_spread=float("nan")),
+                   "cluster_spread must be positive and finite, got nan"),
+    "spread=inf": (lambda: SyntheticConfig(2, 0, cluster_spread=float("inf")),
+                   "cluster_spread must be positive and finite, got inf"),
     "bias=1.5": (lambda: SyntheticConfig(2, 0, modality_bias=1.5),
                  "modality_bias must lie in [0, 1]"),
     "bias=-0.1": (lambda: SyntheticConfig(2, 0, modality_bias=-0.1),
@@ -334,6 +338,30 @@ class TestBuildTaskSequence:
         man = make_manifest([TaskSpec("t1", ("A",))], [ModalitySpec("m", "", 1, False)])
         with pytest.raises(ValidationError, match="^one table per declared modality is required$"):
             build_task_sequence(man, [table, table])
+
+    def test_table_dim_must_match_its_spec(self):
+        # tables pair with specs by position; their names need not match
+        table = single_modality_table([("a1", "A", "train", [0.0, 1.0, 2.0])])
+        man = make_manifest([TaskSpec("t1", ("A",))], [ModalitySpec("m1", "", 2, False)])
+        with pytest.raises(ValidationError,
+                           match="^modality 'm1': the table has dim 3, the manifest declares 2$"):
+            build_task_sequence(man, [table])
+
+    @pytest.mark.parametrize("rows,message", [
+        # t2's class B has test rows only, and t3 has no test rows: t2 is named
+        ([("b1", "B", "test", [1.0]), ("c1", "C", "train", [2.0])],
+         "class 'B' has no training samples"),
+        ([("b1", "B", "train", [1.0]), ("c1", "C", "train", [2.0])],
+         "task 't2' has no test samples"),
+    ], ids=["no training rows", "no test rows"])
+    def test_refuses_a_task_it_cannot_fit_or_score(self, rows, message):
+        table = single_modality_table([("a1", "A", "train", [0.0]), ("a2", "A", "test", [0.1]),
+                                       *rows])
+        man = make_manifest(
+            [TaskSpec("t1", ("A",)), TaskSpec("t2", ("B",)), TaskSpec("t3", ("C",))],
+            [ModalitySpec("m", "", 1, False)])
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build_task_sequence(man, [table])
 
     def test_unrouted_class_is_error(self):
         table = single_modality_table([("d1", "D", "train", [0.0])])

@@ -15,8 +15,7 @@ from clbgmm.errors import ValidationError
 
 
 def plain_fusion(modalities=("m",)):
-    return FusionPipeline(modality_order=tuple(modalities),
-                          normalizers={m: None for m in modalities})
+    return FusionPipeline(normalizers={m: None for m in modalities})
 
 
 def unit_mixture(mean):

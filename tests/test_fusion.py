@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from clbgmm.dataset import ModalitySpec
 from clbgmm.errors import ValidationError
-from clbgmm.fusion import MinMaxNormalizer, apply_normalizer, fit_normalizer, fuse
+from clbgmm.fusion import FusionPipeline, MinMaxNormalizer, apply_normalizer, fit_normalizer, fuse
 
 
 class TestFitNormalizer:
@@ -108,3 +109,31 @@ class TestFuse:
         fused = fuse([a, b])
         assert np.array_equal(fused[:, :4], a)
         assert np.array_equal(fused[:, 4:], b)
+
+
+class TestFusionPipeline:
+    # manifest order differs from name order, and only the middle modality is raw
+    SPECS = (ModalitySpec("z", "", 2, True), ModalitySpec("a", "", 1, False),
+             ModalitySpec("m", "", 3, True))
+
+    def features(self, seed, n):
+        rng = np.random.default_rng(seed)
+        return {spec.name: rng.normal(size=(n, spec.dim)) * 3.0 for spec in self.SPECS}
+
+    def test_transform_normalizes_and_concatenates_in_manifest_order(self):
+        train, test = self.features(0, 20), self.features(1, 7)
+        pipeline = FusionPipeline.fit(self.SPECS, train)
+        assert list(pipeline.normalizers) == ["z", "a", "m"]
+        expected = fuse([apply_normalizer(fit_normalizer(train["z"]), test["z"]), test["a"],
+                         apply_normalizer(fit_normalizer(train["m"]), test["m"])])
+        assert np.array_equal(pipeline.transform(test), expected)
+
+    def test_dict_roundtrip(self):
+        pipeline = FusionPipeline.fit(self.SPECS, self.features(0, 20))
+        doc = pipeline.to_dict()
+        assert doc["normalizers"]["a"] is None
+        back = FusionPipeline.from_dict(doc, self.SPECS)
+        assert list(back.normalizers) == list(pipeline.normalizers)
+        assert back.to_dict() == doc
+        test = self.features(1, 7)
+        assert np.array_equal(back.transform(test), pipeline.transform(test))

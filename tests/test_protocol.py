@@ -285,7 +285,8 @@ class TestSerialization:
         assert "use_class_priors" not in doc["ensembles"]
         assert set(doc["ensembles"]["fusion"]) == {"normalizers"}
         assert back.ensemble.fusion.to_dict() == result.ensemble.fusion.to_dict()
-        assert back.ensemble.fusion.modality_order == result.ensemble.fusion.modality_order
+        assert list(back.ensemble.fusion.normalizers) == list(result.ensemble.fusion.normalizers) \
+            == [spec.name for spec in manifest.modalities]
         assert back.ensemble.use_class_priors == manifest.use_class_priors
         assert back.matrix.to_list() == result.matrix.to_list()
         assert back.metrics().to_dict() == result.metrics().to_dict()
