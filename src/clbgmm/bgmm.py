@@ -37,13 +37,13 @@ LeVeque, 1983). The plug-in adds the data mean back to the means.
 Digamma and log Gamma come from _digamma_gammaln, in numpy: the recurrence
 raises each argument by 8, then the asymptotic series apply (Bernardo,
 "Algorithm AS 103: Psi (digamma) function", 1976; Stirling's series for log
-Gamma). scipy is imported only for full covariances, for LAPACK's Cholesky
-factor and triangular inverse (_lapack), so a diagonal or spherical run
-never loads it.
+Gamma). The Cholesky factors of full covariances and their inverses come
+from numpy's batched linear algebra (_factor), so no run loads scipy.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -105,8 +105,6 @@ class BgmmConfig:
             raise ValidationError("max_iterations and n_restarts must be >= 1")
         if not (0.0 < self.prune_threshold < 1.0):
             raise ValidationError("prune_threshold must lie in (0, 1)")
-        if self.covariance_type == "full":
-            _lapack()   # a run pays the import while it reads its manifest, not in a fit
         return self
 
     def to_dict(self) -> dict:
@@ -168,6 +166,30 @@ class FittedMixture:
         """_factor of the full covariances: their lower Cholesky factors and
         the factors' inverses."""
         return _factor(self.covariances, "covariance")
+
+    @cached_property
+    def _log_weights(self) -> np.ndarray:
+        return np.log(self.weights)
+
+    @cached_property
+    def _scoring_terms(self) -> tuple:
+        """The terms of _component_log_density that depend on the mixture
+        alone. Diagonal and spherical: the weighted mean ref, the transposed
+        precisions P^T, (2 P (m - ref))^T, sum_d P (m - ref)^2, and d log 2pi
+        + sum_d log var. Full: the inverse Cholesky factors and d log 2pi +
+        log det, from _cholesky."""
+        d = self.dim
+        if self.covariance_type == "full":
+            low, low_inv = self._cholesky
+            logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+            return low_inv, d * LOG_2PI + logdet
+        var = self.covariances  # (J, D) diagonal, (J,) spherical
+        if self.covariance_type == "spherical":
+            var = np.repeat(var[:, None], d, axis=1)
+        ref = self.weights @ self.means
+        prec, mc = 1.0 / var, self.means - ref
+        return (ref, prec.T, (2.0 * prec * mc).T, (prec * mc ** 2).sum(axis=1),
+                d * LOG_2PI + np.log(var).sum(axis=1))
 
     def to_dict(self) -> dict:
         cov = self.covariances
@@ -330,38 +352,31 @@ def _digamma_gammaln(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return psi.reshape(x.shape), lg.reshape(x.shape)
 
 
-@cache
-def _lapack():
-    """scipy's LAPACK dpotrf and dtrtri, imported on the first call. Only
-    full covariances need them, and the import takes about 0.3 s."""
-    from scipy.linalg.lapack import dpotrf, dtrtri
-    return dpotrf, dtrtri
-
-
 def _factor(mats: np.ndarray, what: str):
     """Lower Cholesky factors C of a (..., J, D, D) stack of SPD matrices,
-    and their inverses C^-1 (lower triangular too).
+    and their inverses C^-1, exactly lower triangular.
 
-    Each matrix takes two LAPACK calls: potrf, as in scipy.linalg.cholesky,
-    so C is bit-identical to its factor without its per-call checks, and
-    trtri, which inverts the triangle. The finite check runs once on the
-    whole stack; an error names the component j of the failing matrix.
+    Both come from numpy's batched calls: cholesky, then inv of the
+    triangle, whose upper part np.tril sets to exact zeros. The finite check
+    runs once on the whole stack. Only when the stack fails to factor are
+    its matrices factored one by one, to name the component j of the first
+    that is not positive definite.
     """
-    dpotrf, dtrtri = _lapack()
-    j, d = mats.shape[-3], mats.shape[-1]
-    flat = mats.reshape(-1, d, d)
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    if not finite.all():
+    j = mats.shape[-3]
+    if not np.isfinite(mats).all():
+        finite = np.isfinite(mats).all(axis=(-2, -1)).ravel()
         raise NumericalError(f"{what} of component {int(np.argmin(finite)) % j} is not finite")
-    low = np.empty_like(flat)
-    low_inv = np.empty_like(flat)
-    for k in range(flat.shape[0]):
-        c, info = dpotrf(flat[k], lower=1)
-        if info:
-            raise NumericalError(f"{what} of component {k % j} is not positive definite")
-        low[k] = c
-        low_inv[k] = dtrtri(c, lower=1)[0]
-    return low.reshape(mats.shape), low_inv.reshape(mats.shape)
+    try:
+        low = np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        for k, mat in enumerate(mats.reshape((-1,) + mats.shape[-2:])):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                raise NumericalError(f"{what} of component {k % j} is not positive definite") \
+                    from None
+        raise
+    return low, np.tril(np.linalg.inv(low))
 
 
 def _pack_lower(mats: np.ndarray) -> np.ndarray:
@@ -425,11 +440,26 @@ class _Priors:
     log_b_p: float | None = None  # log normaliser of the Wishart prior
 
 
+def _alpha0(config: BgmmConfig) -> float:
+    alpha0 = config.weight_concentration_prior
+    return 1.0 / config.max_components if alpha0 is None else alpha0
+
+
+@cache
+def _prior_gammaln(config: BgmmConfig, d: int) -> tuple[float, float, float, float]:
+    """The log Gamma terms of the prior, which depend on the config and D
+    alone: gammaln(J alpha0), J gammaln(alpha0), gammaln(a0), and (full)
+    the sum of the Wishart prior's gammaln((nu0 + 1 - i) / 2), i = 1..D."""
+    alpha0, a0, j = _alpha0(config), config.precision_prior_shape, config.max_components
+    nu0 = d + a0   # Wishart prior dof (full)
+    wishart_arg = 0.5 * (nu0 + 1 - np.arange(1, d + 1)) if config.covariance_type == "full" else ()
+    _, lg = _digamma_gammaln(np.array([j * alpha0, alpha0, a0, *wishart_arg]))
+    return lg[0], j * lg[1], lg[2], lg[3:].sum()
+
+
 def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
     n, d = X.shape
-    alpha0 = config.weight_concentration_prior
-    if alpha0 is None:
-        alpha0 = 1.0 / config.max_components
+    alpha0 = _alpha0(config)
     m0 = X.mean(axis=0)
     emp_var = np.maximum(X.var(axis=0), config.variance_floor)
     a0 = config.precision_prior_shape
@@ -437,22 +467,19 @@ def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
         rate = np.full(d, config.precision_prior_rate)
     else:
         rate = emp_var
-    j = config.max_components
-    full = config.covariance_type == "full"
     b0 = rate.mean(keepdims=True) if config.covariance_type == "spherical" else rate
-    nu0 = d + a0   # Wishart prior dof (full)
-    wishart_arg = 0.5 * (nu0 + 1 - np.arange(1, d + 1)) if full else ()
-    _, lg = _digamma_gammaln(np.array([j * alpha0, alpha0, a0, *wishart_arg]))
+    gammaln_j_alpha0, j_gammaln_alpha0, gammaln_a0, wishart_gammaln = _prior_gammaln(config, d)
     pri = _Priors(alpha0=alpha0, beta0=config.mean_prior_strength, m0=m0, a0=a0, b0=b0,
-                  gammaln_j_alpha0=lg[0], j_gammaln_alpha0=j * lg[1],
-                  gammaln_a0=lg[2], log_b0=np.log(b0))
-    if full:
+                  gammaln_j_alpha0=gammaln_j_alpha0, j_gammaln_alpha0=j_gammaln_alpha0,
+                  gammaln_a0=gammaln_a0, log_b0=np.log(b0))
+    if config.covariance_type == "full":
+        nu0 = d + a0   # Wishart prior dof
         # Wishart prior matching E[precision] = 1/rate per dimension
         pri.nu0 = nu0
         pri.w0_inv = np.diag(nu0 * rate)
         w0_logdet = -float(np.sum(np.log(nu0 * rate)))
         pri.log_b_p = -0.5 * nu0 * w0_logdet - 0.5 * nu0 * d * LOG_2 \
-            - 0.25 * d * (d - 1) * LOG_PI - lg[3:].sum()
+            - 0.25 * d * (d - 1) * LOG_PI - wishart_gammaln
     return pri
 
 
@@ -467,14 +494,13 @@ def _init_responsibilities(X: np.ndarray, n_components: int,
     n_centers = min(n_components, n)
     probe = rng.uniform(X.min(axis=0), X.max(axis=0))
     first = int(np.argmin(np.linalg.norm(X - probe, axis=1)))
-    # one distance column per center, kept for the final assignment
-    dists = [np.linalg.norm(X - X[first], axis=1)]
-    min_dist = dists[0]
-    for _ in range(n_centers - 1):
-        nxt = int(np.argmax(min_dist))
-        dists.append(np.linalg.norm(X - X[nxt], axis=1))
-        min_dist = np.minimum(min_dist, dists[-1])
-    assign = np.argmin(np.stack(dists, axis=1), axis=1)
+    # each row's nearest center so far; a tie stays with the earlier center
+    min_dist = np.sqrt(np.square(X - X[first]).sum(axis=1))
+    assign = np.zeros(n, dtype=np.intp)
+    for k in range(1, n_centers):
+        dist = np.sqrt(np.square(X - X[int(np.argmax(min_dist))]).sum(axis=1))
+        assign[dist < min_dist] = k
+        min_dist = np.minimum(min_dist, dist)
     resp = np.zeros((n, n_components))
     resp[np.arange(n), assign] = 1.0
     return resp
@@ -484,9 +510,11 @@ def _take(state: VariationalState, index) -> VariationalState:
     """The state with every array indexed by index on its leading axis: an
     integer picks one candidate of a stack, a slice a smaller stack. The
     trace and the merge count are shared."""
-    arrays = {f.name: getattr(state, f.name) for f in fields(state)}
-    return replace(state, **{name: a[index] for name, a in arrays.items()
-                             if isinstance(a, np.ndarray)})
+    taken = copy.copy(state)
+    for name, value in vars(state).items():
+        if isinstance(value, np.ndarray):
+            setattr(taken, name, value[index])
+    return taken
 
 
 def _m_step(X: np.ndarray, x2: np.ndarray, pri: _Priors, state: VariationalState) -> None:
@@ -517,13 +545,13 @@ def _m_step(X: np.ndarray, x2: np.ndarray, pri: _Priors, state: VariationalState
         state.w_inv = 0.5 * (w_inv + w_inv.swapaxes(2, 3))
 
 
-def _diag_quad(X: np.ndarray, x2: np.ndarray, prec: np.ndarray, means: np.ndarray,
+def _diag_quad(X: np.ndarray, x2: np.ndarray, prec_t: np.ndarray, cross_t: np.ndarray,
                prec_m2: np.ndarray) -> np.ndarray:
     """(..., N, J) quadratic forms sum_d prec_jd (x_d - m_jd)^2 in GEMM form,
-    for precisions and means (..., J, D); x2 is X ** 2 and prec_m2 (..., J)
-    is sum_d prec_jd m_jd^2."""
-    return x2 @ prec.swapaxes(-1, -2) - X @ (2.0 * prec * means).swapaxes(-1, -2) \
-        + prec_m2[..., None, :]
+    for precisions and means (..., J, D): x2 is X ** 2, prec_t (..., D, J)
+    the transposed precisions, cross_t (..., D, J) the transpose of 2 prec
+    m, and prec_m2 (..., J) sum_d prec_jd m_jd^2."""
+    return x2 @ prec_t - X @ cross_t + prec_m2[..., None, :]
 
 
 def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
@@ -559,7 +587,8 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
         prec = np.divide(a[..., None], b, out=np.empty_like(m))
         prec_m2 = (prec * m ** 2).sum(axis=2)
         log_dens = 0.5 * elog_lam.sum(axis=2)[:, None, :] - 0.5 * d * LOG_2PI \
-            - 0.5 * (_diag_quad(X, x2, prec, m, prec_m2) + d_beta[:, None, :])
+            - 0.5 * (_diag_quad(X, x2, prec.swapaxes(1, 2), (2.0 * prec * m).swapaxes(1, 2),
+                                prec_m2) + d_beta[:, None, :])
         # summed over a spherical rate (C, J, 1), this is one Gamma per component
         kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
                + 0.5 * pri.beta0 * (prec_m2 + d_beta)).sum(axis=1)
@@ -771,23 +800,18 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
     Diagonal and spherical: _diag_quad with precisions 1/var, on data and
     means centred on the mixture's weighted mean. Without the centring the
     expansion cancels catastrophically when |x| and |m| are large next to
-    the spread (un-normalized features with a large offset).
+    the spread (un-normalized features with a large offset). Every term
+    that depends on the mixture alone is computed once per mixture
+    (FittedMixture._scoring_terms).
     """
-    d = mix.dim
-    m = mix.means
-    if mix.covariance_type != "full":
-        var = mix.covariances  # (J, D) diagonal, (J,) spherical
-        if mix.covariance_type == "spherical":
-            var = np.repeat(var[:, None], d, axis=1)
-        ref = mix.weights @ m
+    if mix.covariance_type == "full":
+        low_inv, const = mix._scoring_terms
+        quad = _centred_quad(X, mix.means, low_inv)
+    else:
+        ref, prec_t, cross_t, prec_m2, const = mix._scoring_terms
         xc = X - ref
-        prec, mc = 1.0 / var, m - ref
-        quad = _diag_quad(xc, xc ** 2, prec, mc, (prec * mc ** 2).sum(axis=1))
-        return -0.5 * (d * LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad)
-    low, low_inv = mix._cholesky
-    quad = _centred_quad(X, m, low_inv)
-    logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
-    return -0.5 * (d * LOG_2PI + logdet[None, :] + quad)
+        quad = _diag_quad(xc, xc ** 2, prec_t, cross_t, prec_m2)
+    return -0.5 * (const[None, :] + quad)
 
 
 def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
@@ -795,7 +819,7 @@ def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != mix.dim:
         raise ValidationError(f"shape mismatch: got {X.shape}, mixture expects rows of {mix.dim}")
-    scores = _component_log_density(mix, X) + np.log(mix.weights)[None, :]
+    scores = _component_log_density(mix, X) + mix._log_weights[None, :]
     with np.errstate(all="ignore"):
         return _logsumexp(scores)
 

@@ -453,9 +453,19 @@ class TestNumericalFailure:
         with pytest.raises(NumericalError, match="component 1 is not positive definite"):
             bgmm._factor(mats, "test matrix")
 
-    def test_factor_matches_scipy_bit_for_bit(self):
-        # C is scipy's factor bit for bit; C^-1 comes from trtri, not from a
-        # triangular solve, so it matches solve_triangular(C, I) to rounding
+    def test_factor_names_the_first_of_two_indefinite_components(self):
+        indefinite = [[1.0, 2.0], [2.0, 1.0]]
+        mats = np.stack([np.eye(2), np.eye(2), indefinite, np.eye(2), indefinite])
+        with pytest.raises(NumericalError, match="component 2 is not positive definite"):
+            bgmm._factor(mats, "test matrix")
+        # in a (C, J, D, D) stack the component is the index within its candidate
+        with pytest.raises(NumericalError, match="component 1 is not positive definite"):
+            bgmm._factor(mats[1:].reshape(2, 2, 2, 2), "test matrix")
+
+    def test_factor_matches_scipy(self):
+        # numpy's factor and the inverse of its triangle match scipy's
+        # cholesky and solve_triangular(C, I) to rounding; C^-1 is exactly
+        # lower triangular
         rng = np.random.default_rng(1)
         a = rng.normal(size=(6, 7, 7))
         mats = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(7)
@@ -463,7 +473,7 @@ class TestNumericalFailure:
         low, low_inv = bgmm._factor(mats, "test matrix")
         for k in range(mats.shape[0]):
             ref = cholesky(mats[k], lower=True)
-            assert np.array_equal(low[k], ref)
+            np.testing.assert_allclose(low[k], ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
             ref_inv = solve_triangular(ref, np.eye(7), lower=True)
             np.testing.assert_allclose(low_inv[k], ref_inv, rtol=1e-12,
                                        atol=1e-13 * np.abs(ref_inv).max())
@@ -1164,6 +1174,49 @@ class TestGemmScoring:
         monkeypatch.setattr(bgmm, "_component_log_density", _broadcast_component_log_density)
         assert got == predict_batch(ens, test_rows)
         assert ens.class_count == 22 and len(got) == 220
+
+
+def _uncached_log_likelihood(mix, X):
+    """log_likelihood_batch as it was before the per-mixture scoring terms
+    were cached: every term computed afresh on each call."""
+    d, m = mix.dim, mix.means
+    if mix.covariance_type != "full":
+        var = mix.covariances
+        if mix.covariance_type == "spherical":
+            var = np.repeat(var[:, None], d, axis=1)
+        ref = mix.weights @ m
+        xc = X - ref
+        prec, mc = 1.0 / var, m - ref
+        quad_ = xc ** 2 @ prec.swapaxes(-1, -2) - xc @ (2.0 * prec * mc).swapaxes(-1, -2) \
+            + (prec * mc ** 2).sum(axis=1)[None, :]
+        dens = -0.5 * (d * bgmm.LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad_)
+    else:
+        low, low_inv = bgmm._factor(mix.covariances, "covariance")
+        quad_ = bgmm._centred_quad(X, m, low_inv)
+        logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
+        dens = -0.5 * (d * bgmm.LOG_2PI + logdet[None, :] + quad_)
+    with np.errstate(all="ignore"):
+        return bgmm._logsumexp(dens + np.log(mix.weights)[None, :])
+
+
+class TestCachedScoring:
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_equals_uncached_formula_bit_for_bit(self, ct, offset):
+        rng = np.random.default_rng(3)
+        j, d = 5, 6
+        if ct == "full":
+            a = rng.normal(size=(j, d, d))
+            weights = rng.uniform(0.1, 1.0, j)
+            mix = FittedMixture(weights=weights / weights.sum(),
+                                means=offset + rng.normal(0.0, 3.0, (j, d)),
+                                covariances=a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d),
+                                covariance_type="full", metadata={})
+        else:
+            mix = _random_mixture(rng, ct, j, d, offset=offset)
+        for n in (1, 40, 300):   # the second and later calls read the cached terms
+            X = offset + rng.normal(0.0, 4.0, (n, d))
+            assert np.array_equal(log_likelihood_batch(mix, X), _uncached_log_likelihood(mix, X))
 
 
 def _broadcast_init_responsibilities(X, n_components, rng):

@@ -372,32 +372,32 @@ def _scipy_after(code):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def _scipy_after_run(synth_dir, tmp_path, covariance_type):
+    """The scipy modules that `clbgmm run` leaves loaded, on the synthetic
+    manifest with the given covariance type."""
+    manifest = json.loads((synth_dir / "manifest.json").read_text())
+    manifest["bgmm"]["covariance_type"] = covariance_type
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "res"
+    argv = ["run", "--manifest", str(path), "--out", str(out)]
+    loaded = _scipy_after(f"from clbgmm.cli import main\nassert main({argv!r}) == 0")
+    assert Path(f"{out}_seed1.json").is_file()
+    return loaded
+
+
 class TestScipyImports:
-    """scipy is imported only for full covariances (LAPACK's Cholesky factor
-    and triangular inverse); the special functions are the package's own."""
+    """No command loads scipy: the special functions and the Cholesky
+    factors are the package's own, in numpy."""
 
     def test_cli_import_loads_no_scipy(self):
         assert _scipy_after("import clbgmm.cli") == set()
 
     def test_diagonal_run_loads_no_scipy(self, synth_dir, tmp_path):
-        manifest = json.loads((synth_dir / "manifest.json").read_text())
-        assert manifest["bgmm"]["covariance_type"] == "diagonal"
-        out = tmp_path / "res"
-        argv = ["run", "--manifest", str(synth_dir / "manifest.json"), "--out", str(out)]
-        assert _scipy_after(f"from clbgmm.cli import main\nassert main({argv!r}) == 0") == set()
-        assert Path(f"{out}_seed1.json").is_file()
+        assert _scipy_after_run(synth_dir, tmp_path, "diagonal") == set()
 
-    def test_full_manifest_loads_lapack_alone(self, synth_dir, tmp_path):
-        manifest = json.loads((synth_dir / "manifest.json").read_text())
-        manifest["bgmm"]["covariance_type"] = "full"
-        path = tmp_path / "full.json"
-        path.write_text(json.dumps(manifest))
-        loaded = _scipy_after("from pathlib import Path\nfrom clbgmm.dataset import parse_manifest\n"
-                              f"parse_manifest(Path({str(path)!r}).read_text())")
-        assert "scipy.linalg.lapack" in loaded
-        assert "scipy.special" not in loaded
-        # and nothing more than importing LAPACK loads by itself
-        assert loaded == _scipy_after("import scipy.linalg.lapack")
+    def test_full_run_loads_no_scipy(self, synth_dir, tmp_path):
+        assert _scipy_after_run(synth_dir, tmp_path, "full") == set()
 
 
 @pytest.fixture
