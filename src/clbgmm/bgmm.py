@@ -26,7 +26,7 @@ broadcast over the D columns, so the two types share one M-step and one
 E-step. The E-step yields both the expected log densities and the KL term of
 the bound, so each expectation the two share is computed once per iteration;
 prior-only terms are computed once per fit. A full-covariance iteration
-factors each inverse scale matrix once and derives the rest from that factor.
+factors each inverse scale matrix once, C C^T, and uses only C and C^-1.
 
 The prior mean is the data mean, and each fit runs in its frame: the rows are
 centred on it once, so the prior mean is zero in the iteration, every
@@ -37,8 +37,8 @@ LeVeque, 1983). The plug-in adds the data mean back to the means.
 Digamma and log Gamma come from _digamma_gammaln, in numpy: the recurrence
 raises each argument by 8, then the asymptotic series apply (Bernardo,
 "Algorithm AS 103: Psi (digamma) function", 1976; Stirling's series for log
-Gamma). The Cholesky factors of full covariances and their inverses come
-from numpy's batched linear algebra (_factor), so no run loads scipy.
+Gamma). Cholesky factors and their inverses come from numpy's batched
+linear algebra (_factor), so no run loads scipy.
 """
 
 from __future__ import annotations
@@ -174,19 +174,20 @@ class FittedMixture:
     @cached_property
     def _scoring_terms(self) -> tuple:
         """The terms of _component_log_density that depend on the mixture
-        alone. Diagonal and spherical: the weighted mean ref, the transposed
-        precisions P^T, (2 P (m - ref))^T, sum_d P (m - ref)^2, and d log 2pi
-        + sum_d log var. Full: the inverse Cholesky factors and d log 2pi +
-        log det, from _cholesky."""
+        alone, first the weighted mean ref and last d log 2pi + log det.
+        Between them, diagonal and spherical: the transposed precisions P^T,
+        (2 P (m - ref))^T and sum_d P (m - ref)^2. Full: the inverse Cholesky
+        factors C^-1, from _cholesky, and C^-1 (m - ref)."""
         d = self.dim
+        ref = self.weights @ self.means
         if self.covariance_type == "full":
             low, low_inv = self._cholesky
             logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
-            return low_inv, d * LOG_2PI + logdet
+            proj_m = (low_inv @ (self.means - ref)[..., None])[..., 0]
+            return ref, low_inv, proj_m, d * LOG_2PI + logdet
         var = self.covariances  # (J, D) diagonal, (J,) spherical
         if self.covariance_type == "spherical":
             var = np.repeat(var[:, None], d, axis=1)
-        ref = self.weights @ self.means
         prec, mc = 1.0 / var, self.means - ref
         return (ref, prec.T, (2.0 * prec * mc).T, (prec * mc ** 2).sum(axis=1),
                 d * LOG_2PI + np.log(var).sum(axis=1))
@@ -357,10 +358,10 @@ def _factor(mats: np.ndarray, what: str):
     and their inverses C^-1, exactly lower triangular.
 
     Both come from numpy's batched calls: cholesky, then inv of the
-    triangle, whose upper part np.tril sets to exact zeros. The finite check
-    runs once on the whole stack. Only when the stack fails to factor are
-    its matrices factored one by one, to name the component j of the first
-    that is not positive definite.
+    triangle's two diagonal halves (one block step), and a cached mask
+    zeroes the upper part. The finite check runs once on the whole stack.
+    Only when the stack fails to factor are its matrices factored one by
+    one, to name the component j of the first that is not positive definite.
     """
     j = mats.shape[-3]
     if not np.isfinite(mats).all():
@@ -376,7 +377,21 @@ def _factor(mats: np.ndarray, what: str):
                 raise NumericalError(f"{what} of component {k % j} is not positive definite") \
                     from None
         raise
-    return low, np.tril(np.linalg.inv(low))
+    # C = [[A, 0], [B, E]] has C^-1 = [[A^-1, 0], [-E^-1 B A^-1, E^-1]]; at D = 1, A is empty
+    d, h = low.shape[-1], low.shape[-1] // 2
+    a, e = low[..., :h, :h], low[..., h:, h:]   # one inv call when they match
+    a_inv, e_inv = np.linalg.inv(np.stack((a, e))) if d % 2 == 0 else map(np.linalg.inv, (a, e))
+    low_inv = np.empty_like(low)
+    low_inv[..., :h, :h], low_inv[..., h:, h:] = a_inv, e_inv
+    low_inv[..., h:, :h] = -(e_inv @ low[..., h:, :h]) @ a_inv
+    low_inv[..., _upper(d)] = 0.0
+    return low, low_inv
+
+
+@cache
+def _upper(d: int) -> np.ndarray:
+    """(D, D) mask of the entries above the diagonal, read-only: it is shared."""
+    return np.broadcast_to(~np.tri(d, dtype=bool), (d, d))
 
 
 def _pack_lower(mats: np.ndarray) -> np.ndarray:
@@ -395,13 +410,17 @@ def _unpack_lower(packed: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _centred_quad(X: np.ndarray, means: np.ndarray, low_inv: np.ndarray) -> np.ndarray:
-    """(..., N, J), C-ordered, squared norms |C_j^-1 (x - m_j)|^2, i.e. the
-    quadratic forms (x - m_j)^T (C_j C_j^T)^-1 (x - m_j), for means (..., J,
-    D), on rows centred on each component mean so that a large offset
-    cancels before the product."""
-    y = (X - means[..., None, :]) @ low_inv.swapaxes(-1, -2)   # (..., J, N, D)
-    return np.ascontiguousarray((y ** 2).sum(axis=-1).swapaxes(-1, -2))
+def _quad(X: np.ndarray, low_inv: np.ndarray, proj_m: np.ndarray) -> np.ndarray:
+    """(..., N, J) squared norms |C_j^-1 x - C_j^-1 m_j|^2, the forms (x -
+    m_j)^T (C_j C_j^T)^-1 (x - m_j), for inverse factors low_inv (..., J, D,
+    D) and proj_m = C^-1 m (..., J, D), on rows centred near the means. One
+    product per leading index projects the rows through all J factors, so a
+    candidate's forms do not depend on the rest of its stack."""
+    *lead, j, d, _ = low_inv.shape
+    y = X @ low_inv.reshape(*lead, j * d, d).swapaxes(-1, -2)   # (..., N, J D)
+    y = y.reshape(*lead, -1, j, d)
+    y -= proj_m[..., None, :, :]
+    return np.square(y, out=y).sum(axis=-1)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -436,7 +455,8 @@ class _Priors:
     gammaln_a0: float
     log_b0: np.ndarray
     nu0: float | None = None     # Wishart dof (full)
-    w0_inv: np.ndarray | None = None
+    w0_inv: np.ndarray | None = None  # diagonal: np.diag(w0_diag)
+    w0_diag: np.ndarray | None = None
     log_b_p: float | None = None  # log normaliser of the Wishart prior
 
 
@@ -476,6 +496,7 @@ def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
         nu0 = d + a0   # Wishart prior dof
         # Wishart prior matching E[precision] = 1/rate per dimension
         pri.nu0 = nu0
+        pri.w0_diag = nu0 * rate
         pri.w0_inv = np.diag(nu0 * rate)
         w0_logdet = -float(np.sum(np.log(nu0 * rate)))
         pri.log_b_p = -0.5 * nu0 * w0_logdet - 0.5 * nu0 * d * LOG_2 \
@@ -597,22 +618,21 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
                + pri.a0 * (log_b - pri.log_b0)
                + a[..., None] * (pri.b0 - b) / b).reshape(c, -1).sum(axis=1)
     else:
-        # from one factor C = chol(w_inv): scale W = C^-T C^-1, log det W
-        # = -2 sum(log diag C), and E[log det precision]
+        # from one factor C = chol(w_inv), scale W = C^-T C^-1: log det W = -2 sum(log diag C),
+        # m^T W m = |C^-1 m|^2 and, W0^-1 being diagonal, tr(W0^-1 W) = sum_d w0_d |C^-1 e_d|^2
         digamma_sum, gammaln_sum = (v[:, j + 1:].reshape(c, j, d).sum(axis=2) for v in (psi, lg))
         low, low_inv = _factor(state.w_inv, "inverse scale matrix")
-        w = low_inv.swapaxes(2, 3) @ low_inv
+        proj_m = (low_inv @ m[..., None])[..., 0]
         logdet_w = -2.0 * np.log(np.diagonal(low, axis1=2, axis2=3)).sum(axis=2)
         elog_det = digamma_sum + d * LOG_2 + logdet_w
         log_dens = (0.5 * elog_det - 0.5 * d * LOG_2PI)[:, None, :] \
-            - 0.5 * (nu[:, None, :] * _centred_quad(X, m, low_inv) + d_beta[:, None, :])
-        quad = (((nu[..., None] * m)[..., None, :] @ w) @ m[..., :, None])[..., 0, 0]
+            - 0.5 * (nu[:, None, :] * _quad(X, low_inv, proj_m) + d_beta[:, None, :])
         mean_kl = 0.5 * d * np.log(beta / pri.beta0) - 0.5 * d \
-            + 0.5 * pri.beta0 * (quad + d_beta)
+            + 0.5 * pri.beta0 * (nu * (proj_m ** 2).sum(axis=2) + d_beta)
         log_b_q = -0.5 * nu * logdet_w - 0.5 * nu * d * LOG_2 \
             - 0.25 * d * (d - 1) * LOG_PI - gammaln_sum
         wishart_kl = log_b_q - pri.log_b_p + 0.5 * (nu - pri.nu0) * elog_det \
-            + 0.5 * nu * (np.trace(pri.w0_inv @ w, axis1=2, axis2=3) - d)
+            + 0.5 * nu * ((pri.w0_diag * (low_inv ** 2).sum(axis=2)).sum(axis=2) - d)
         kl += (mean_kl + wishart_kl).sum(axis=1)
     return elog_pi[:, None, :] + log_dens, kl
 
@@ -656,7 +676,7 @@ def _merge_candidates(state: VariationalState, config: BgmmConfig, collapse: boo
     gram = cols.T @ cols
     norms = np.sqrt(np.diag(gram))
     # the pairs a < b in np.triu_indices(live.size, 1) order, without its overhead
-    ia, ib = np.nonzero(~np.tri(live.size, dtype=bool))
+    ia, ib = np.nonzero(_upper(live.size))
     overlap = gram[ia, ib] / (norms[ia] * norms[ib])
     for p in np.argsort(-overlap, kind="stable")[:MERGE_PAIRS]:
         if not overlap[p] >= MERGE_MIN_OVERLAP:   # NaN, from an empty column, too
@@ -797,20 +817,17 @@ def fit(data, config: BgmmConfig, seed: int):
 def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
     """(N, J) Gaussian log densities under the plug-in parameters.
 
-    Diagonal and spherical: _diag_quad with precisions 1/var, on data and
-    means centred on the mixture's weighted mean. Without the centring the
-    expansion cancels catastrophically when |x| and |m| are large next to
-    the spread (un-normalized features with a large offset). Every term
-    that depends on the mixture alone is computed once per mixture
+    The quadratic forms come from _diag_quad with precisions 1/var
+    (diagonal and spherical) or from _quad, on data and means centred on the
+    mixture's weighted mean. Without the centring the forms cancel
+    catastrophically when |x| and |m| are large next to the spread
+    (un-normalized features with a large offset). Every term that depends
+    on the mixture alone is computed once per mixture
     (FittedMixture._scoring_terms).
     """
-    if mix.covariance_type == "full":
-        low_inv, const = mix._scoring_terms
-        quad = _centred_quad(X, mix.means, low_inv)
-    else:
-        ref, prec_t, cross_t, prec_m2, const = mix._scoring_terms
-        xc = X - ref
-        quad = _diag_quad(xc, xc ** 2, prec_t, cross_t, prec_m2)
+    ref, *terms, const = mix._scoring_terms
+    xc = X - ref
+    quad = _quad(xc, *terms) if mix.covariance_type == "full" else _diag_quad(xc, xc ** 2, *terms)
     return -0.5 * (const[None, :] + quad)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -147,6 +148,62 @@ class TestElbo:
     def test_final_at_least_first(self):
         _, state = fit(two_cluster_data(seed=10), BgmmConfig(max_components=4), seed=0)
         assert state.elbo_trace[-1] >= state.elbo_trace[0] - 1e-8
+
+
+# The closed-form log marginal likelihood of the conjugate models that a fit
+# with max_components = 1 is (Murphy, "Conjugate Bayesian analysis of the
+# Gaussian distribution", 2007, eqs. 95 and 266), written from the model's
+# definition: mean prior N(m0, (beta0 Lambda)^-1) with m0 the data mean; Gamma
+# precisions with shape a0 and rate b0, the data variance per dimension
+# (floored) or precision_prior_rate; the Wishart prior with nu0 = D + a0 and
+# W0^-1 = diag(nu0 b0). With one component the bound is this evidence, so it
+# carries every prior constant.
+
+def _normal_gamma_evidence(x, m0, b0, a0, beta0):
+    """log p(x) of the columns of x (N, K) sharing one Gamma precision, each
+    with its own Gaussian mean."""
+    n, k = x.shape
+    beta_n, a_n = beta0 + n, a0 + 0.5 * n * k
+    dev = x.mean(axis=0) - m0
+    b_n = b0 + 0.5 * (((x - x.mean(axis=0)) ** 2).sum() + beta0 * n * (dev ** 2).sum() / beta_n)
+    return (math.lgamma(a_n) - math.lgamma(a0) + a0 * math.log(b0) - a_n * math.log(b_n)
+            + 0.5 * k * math.log(beta0 / beta_n) - 0.5 * n * k * math.log(2.0 * math.pi))
+
+
+def _conjugate_evidence(X, ct, config):
+    n, d = X.shape
+    a0, beta0, m0 = config.precision_prior_shape, config.mean_prior_strength, X.mean(axis=0)
+    if config.precision_prior_rate is None:
+        rate = np.maximum(X.var(axis=0), config.variance_floor)
+    else:
+        rate = np.full(d, config.precision_prior_rate)
+    if ct == "diagonal":
+        return sum(_normal_gamma_evidence(X[:, [i]], m0[i], rate[i], a0, beta0) for i in range(d))
+    if ct == "spherical":
+        return _normal_gamma_evidence(X, m0, rate.mean(), a0, beta0)
+    nu0 = d + a0
+    nu_n, beta_n = nu0 + n, beta0 + n
+    xc, dev = X - X.mean(axis=0), X.mean(axis=0) - m0
+    scale_n = np.diag(nu0 * rate) + xc.T @ xc + beta0 * n / beta_n * np.outer(dev, dev)
+    return (-0.5 * n * d * math.log(math.pi)
+            + sum(math.lgamma(0.5 * (nu_n + 1 - i)) - math.lgamma(0.5 * (nu0 + 1 - i))
+                  for i in range(1, d + 1))
+            + 0.5 * nu0 * np.log(nu0 * rate).sum() - 0.5 * nu_n * np.linalg.slogdet(scale_n)[1]
+            + 0.5 * d * math.log(beta0 / beta_n))
+
+
+class TestEvidenceAtOneComponent:
+    @pytest.mark.parametrize("rate", [None, 2.0])
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    @pytest.mark.parametrize("n", [30, 200])
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_final_elbo_is_the_conjugate_evidence(self, ct, n, d, rate):
+        rng = np.random.default_rng(n + d)
+        X = 5.0 + rng.normal(size=(n, d)) @ rng.normal(size=(d, d)) * rng.uniform(0.5, 3.0, d)
+        config = BgmmConfig(max_components=1, covariance_type=ct, precision_prior_rate=rate)
+        mix, _ = fit(X, config, seed=0)
+        assert mix.metadata["final_elbo"] == pytest.approx(_conjugate_evidence(X, ct, config),
+                                                           rel=1e-9)
 
 
 class TestEffectiveComponents:
@@ -363,6 +420,21 @@ class TestRestarts:
         assert state is states[1]
 
 
+def _assert_stack_equals_separate_steps(ct, X, pri, resp):
+    """One step of the stack of responsibilities resp (C, N, J) gives each
+    candidate the bound and posteriors of its own step, bit for bit."""
+    stack = bgmm.VariationalState(ct, resp.copy())
+    bounds = bgmm._step(X, X ** 2, pri, stack)
+    assert bounds.shape == (resp.shape[0],)
+    names = ["responsibilities", "alpha", "beta", "means"]
+    names += ["w_inv", "dof"] if ct == "full" else ["rate", "shape"]
+    for c in range(resp.shape[0]):
+        one = bgmm.VariationalState(ct, resp[c:c + 1].copy())
+        assert bgmm._step(X, X ** 2, pri, one)[0] == bounds[c]
+        for name in names:
+            assert np.array_equal(getattr(stack, name)[c], getattr(one, name)[0]), name
+
+
 class TestStackedStep:
     @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
     @pytest.mark.parametrize("n_candidates", [1, 2, 3, 4])
@@ -374,16 +446,25 @@ class TestStackedStep:
         X = X - pri.m0
         resp = rng.dirichlet(np.full(7, 0.5), size=(n_candidates, 60))
         resp[1:, :, 0] = 0.0   # merged-away columns, as in a merge candidate
-        stack = bgmm.VariationalState(ct, resp.copy())
-        bounds = bgmm._step(X, X ** 2, pri, stack)
-        assert bounds.shape == (n_candidates,)
-        names = ["responsibilities", "alpha", "beta", "means"]
-        names += ["w_inv", "dof"] if ct == "full" else ["rate", "shape"]
-        for c in range(n_candidates):
-            one = bgmm.VariationalState(ct, resp[c:c + 1].copy())
-            assert bgmm._step(X, X ** 2, pri, one)[0] == bounds[c]
-            for name in names:
-                assert np.array_equal(getattr(stack, name)[c], getattr(one, name)[0]), name
+        _assert_stack_equals_separate_steps(ct, X, pri, resp)
+
+    # the full step projects the rows through every factor of a candidate in
+    # one product, so a column's place in that product varies with J and D;
+    # D = 1 leaves the block step's first half empty
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 8), j=st.integers(1, 10), n=st.integers(1, 80),
+           d=st.sampled_from([1, 2, 7, 8, 15, 16, 17, 24]), seed=st.integers(0, 2**32 - 1))
+    def test_full_stacks_equal_separate_steps_bit_for_bit(self, c, j, n, d, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_t(3, size=(n, d)) * rng.uniform(0.5, 3.0, d)
+        pri = bgmm._resolve_priors(X, BgmmConfig(max_components=j, covariance_type="full"))
+        X = X - pri.m0
+        resp = rng.dirichlet(np.full(j, 0.5), size=(c, n))
+        for k in range(1, c if j > 1 else 0):   # merge candidates: column b folded into a
+            a, b = rng.choice(j, size=2, replace=False)
+            resp[k, :, a] += resp[k, :, b]
+            resp[k, :, b] = 0.0
+        _assert_stack_equals_separate_steps("full", X, pri, resp)
 
 
 class TestLogLikelihood:
@@ -463,21 +544,44 @@ class TestNumericalFailure:
             bgmm._factor(mats[1:].reshape(2, 2, 2, 2), "test matrix")
 
     def test_factor_matches_scipy(self):
-        # numpy's factor and the inverse of its triangle match scipy's
-        # cholesky and solve_triangular(C, I) to rounding; C^-1 is exactly
-        # lower triangular
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(6, 7, 7))
-        mats = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(7)
-        mats = 0.5 * (mats + mats.transpose(0, 2, 1))
-        low, low_inv = bgmm._factor(mats, "test matrix")
-        for k in range(mats.shape[0]):
-            ref = cholesky(mats[k], lower=True)
-            np.testing.assert_allclose(low[k], ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
-            ref_inv = solve_triangular(ref, np.eye(7), lower=True)
-            np.testing.assert_allclose(low_inv[k], ref_inv, rtol=1e-12,
-                                       atol=1e-13 * np.abs(ref_inv).max())
-            assert np.array_equal(np.triu(low_inv[k], 1), np.zeros((7, 7)))
+        # numpy's factor and the inverse of its triangle by the block step
+        # match scipy's cholesky and solve_triangular(cholesky, I) to
+        # rounding; C^-1 is exactly lower triangular
+        for d in (7, 16, 17, 33, 64):
+            a = np.random.default_rng(d).normal(size=(6, d, d))
+            _assert_factor_matches_scipy(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d),
+                                         factor_atol=1e-13, invert_own_factor=False)
+
+    @pytest.mark.parametrize("d", [7, 16, 17, 33])
+    def test_factor_matches_scipy_at_condition_number_1e10(self, d):
+        # numpy's and scipy's factors differ by up to 3e-12 of their largest
+        # entry here, so they are held to 1e-11 of it. The inverse is
+        # compared with solve_triangular of numpy's own factor, which it
+        # matches to 4e-15 of its largest entry; against the inverse of
+        # scipy's factor it would differ by up to 5e-8 of it, the factors'
+        # difference times cond(C) = 1e5
+        rng = np.random.default_rng(d)
+        rotations = np.linalg.qr(rng.normal(size=(4, d, d)))[0]
+        mats = (rotations * np.logspace(0, 10, d)) @ rotations.transpose(0, 2, 1)
+        assert np.linalg.cond(mats).min() > 1e9
+        _assert_factor_matches_scipy(mats, factor_atol=1e-11, invert_own_factor=True)
+
+
+def _assert_factor_matches_scipy(mats, factor_atol, invert_own_factor):
+    """_factor against scipy: C against cholesky at rtol 1e-12 and factor_atol
+    of its largest entry, C^-1 against solve_triangular(F, I) at rtol 1e-12
+    and 1e-13 of its largest entry, and exact zeros above the diagonal. F is
+    scipy's factor, or C itself if invert_own_factor."""
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    d = mats.shape[-1]
+    low, low_inv = bgmm._factor(mats, "test matrix")
+    for k in range(mats.shape[0]):
+        ref = cholesky(mats[k], lower=True)
+        np.testing.assert_allclose(low[k], ref, rtol=1e-12, atol=factor_atol * np.abs(ref).max())
+        ref_inv = solve_triangular(low[k] if invert_own_factor else ref, np.eye(d), lower=True)
+        np.testing.assert_allclose(low_inv[k], ref_inv, rtol=1e-12,
+                                   atol=1e-13 * np.abs(ref_inv).max())
+        assert np.array_equal(np.triu(low_inv[k], 1), np.zeros((d, d)))
 
 
 def _logsumexp_rows():
@@ -899,6 +1003,34 @@ class TestSingleFactorAlgebra:
             e_step, rtol=0, atol=1e-8)
 
 
+class TestFarComponents:
+    def test_projected_e_step_equals_explicit_quadratic_form(self):
+        # two tight clusters 1e4 standard deviations apart on a 1e8 offset:
+        # the E-step projects each centred row through every factor, so a
+        # row's projection is about 5e3 standard deviations long, and its
+        # distance to the near component is the difference of two such
+        # projections
+        rng = np.random.default_rng(4)
+        d = 5
+        X = 1e8 + np.vstack([rng.normal(size=(80, d)) @ rng.normal(size=(d, d)) * 0.5
+                             + np.eye(d)[0] * shift for shift in (0.0, 1e4)])
+        config = BgmmConfig(max_components=4, covariance_type="full", precision_prior_rate=1.0)
+        mix, state = fit(X, config, seed=0)
+        assert mix.n_components == 2
+        pri = bgmm._resolve_priors(X, config)
+        X = X - pri.m0
+        got = bgmm._e_step(X, X ** 2, pri, _stack_of_one(state))[0][0]
+        w = np.linalg.inv(state.w_inv)
+        xc = X[None, :, :] - state.means[:, None, :]
+        quad_ = np.einsum("jnd,jde,jne->nj", xc, state.dof[:, None, None] * w, xc)
+        assert quad_.max() > 1e6   # each row is far from one of the live components
+        elog_det = digamma(0.5 * (state.dof[:, None] + 1 - np.arange(1, d + 1))).sum(axis=1) \
+            + d * np.log(2.0) + np.linalg.slogdet(w)[1]
+        ref = digamma(state.alpha) - digamma(state.alpha.sum()) + 0.5 * elog_det \
+            - 0.5 * d * bgmm.LOG_2PI - 0.5 * (quad_ + d / state.beta)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)
+
+
 class TestFullCovarianceStorage:
     def test_file_round_trip_is_exact_and_symmetric(self):
         _, mix, _, _ = _fitted_full_state()
@@ -1191,8 +1323,10 @@ def _uncached_log_likelihood(mix, X):
             + (prec * mc ** 2).sum(axis=1)[None, :]
         dens = -0.5 * (d * bgmm.LOG_2PI + np.log(var).sum(axis=1)[None, :] + quad_)
     else:
+        # rows and means centred on the weighted mean, as the diagonal terms
         low, low_inv = bgmm._factor(mix.covariances, "covariance")
-        quad_ = bgmm._centred_quad(X, m, low_inv)
+        ref = mix.weights @ m
+        quad_ = bgmm._quad(X - ref, low_inv, (low_inv @ (m - ref)[..., None])[..., 0])
         logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
         dens = -0.5 * (d * bgmm.LOG_2PI + logdet[None, :] + quad_)
     with np.errstate(all="ignore"):
