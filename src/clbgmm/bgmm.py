@@ -18,15 +18,18 @@ plain step is a stack of one; a merge move scores all its candidates in one
 step. Every candidate's results are bit-identical to those of its own step.
 
 Point estimates (posterior means) populate the returned FittedMixture;
-scoring is a plain mixture density over those plug-in parameters.
+scoring is a plain mixture density over those plug-in parameters, and every
+term of it that depends on the mixture alone is computed once, into one
+record per mixture.
 
 A spherical component is fitted as the diagonal one with a single Gamma
 precision shared by every dimension: its rate is stored as (J, 1) and
 broadcast over the D columns, so the two types share one M-step and one
 E-step. The E-step yields both the expected log densities and the KL term of
 the bound, so each expectation the two share is computed once per iteration;
-prior-only terms are computed once per fit. A full-covariance iteration
-factors each inverse scale matrix once, C C^T, and uses only C and C^-1.
+the KL terms that depend on the priors alone are summed once per fit into one
+number, kl0. A full-covariance iteration factors each inverse scale matrix
+once, C C^T, and uses only C and C^-1.
 
 The prior mean is the data mean, and each fit runs in its frame: the rows are
 centred on it once, so the prior mean is zero in the iteration, every
@@ -46,6 +49,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
 
@@ -91,6 +95,9 @@ class BgmmConfig:
     n_restarts: int = 1
 
     def validate(self) -> "BgmmConfig":
+        for name, value in vars(self).items():
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValidationError(f"bgmm setting {name!r} is beyond the range of a float")
         if self.max_components < 1:
             raise ValidationError("max_components must be >= 1")
         if self.covariance_type not in COVARIANCE_TYPES:
@@ -142,9 +149,10 @@ class FittedMixture:
     in row-major lower order, (0,0), (1,0), (1,1), (2,0), ... from_dict
     reads the packed layout and the older (J, D, D) one, whose upper
     triangle it ignores, and checks every shape and value. A mixture is
-    frozen once fitted, so the Cholesky factor of its full covariances is
-    computed once: when it is first scored, or by from_dict, which checks
-    that every covariance factors.
+    frozen once fitted, so the terms that scoring needs of it, the Cholesky
+    factor of its full covariances among them, are computed once: when it
+    is first scored, or by from_dict, which checks that every covariance
+    factors.
     """
 
     weights: np.ndarray
@@ -162,35 +170,25 @@ class FittedMixture:
         return self.means.shape[1]
 
     @cached_property
-    def _cholesky(self) -> tuple[np.ndarray, np.ndarray]:
-        """_factor of the full covariances: their lower Cholesky factors and
-        the factors' inverses."""
-        return _factor(self.covariances, "covariance")
-
-    @cached_property
-    def _log_weights(self) -> np.ndarray:
-        return np.log(self.weights)
-
-    @cached_property
     def _scoring_terms(self) -> tuple:
-        """The terms of _component_log_density that depend on the mixture
-        alone, first the weighted mean ref and last d log 2pi + log det.
-        Between them, diagonal and spherical: the transposed precisions P^T,
-        (2 P (m - ref))^T and sum_d P (m - ref)^2. Full: the inverse Cholesky
-        factors C^-1, from _cholesky, and C^-1 (m - ref)."""
+        """The terms of scoring that depend on the mixture alone, in order:
+        the weighted mean ref; diagonal and spherical, the transposed
+        precisions P^T, (2 P (m - ref))^T and sum_d P (m - ref)^2, or full,
+        the inverse Cholesky factors C^-1, from _factor, and C^-1 (m - ref);
+        d log 2pi + log det; and the log weights."""
         d = self.dim
         ref = self.weights @ self.means
         if self.covariance_type == "full":
-            low, low_inv = self._cholesky
+            low, low_inv = _factor(self.covariances, "covariance")
             logdet = 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)
             proj_m = (low_inv @ (self.means - ref)[..., None])[..., 0]
-            return ref, low_inv, proj_m, d * LOG_2PI + logdet
+            return ref, low_inv, proj_m, d * LOG_2PI + logdet, np.log(self.weights)
         var = self.covariances  # (J, D) diagonal, (J,) spherical
         if self.covariance_type == "spherical":
             var = np.repeat(var[:, None], d, axis=1)
         prec, mc = 1.0 / var, self.means - ref
         return (ref, prec.T, (2.0 * prec * mc).T, (prec * mc ** 2).sum(axis=1),
-                d * LOG_2PI + np.log(var).sum(axis=1))
+                d * LOG_2PI + np.log(var).sum(axis=1), np.log(self.weights))
 
     def to_dict(self) -> dict:
         cov = self.covariances
@@ -242,7 +240,7 @@ class FittedMixture:
                             covariance_type=ct, metadata=dict(d["metadata"]))
         if ct == "full":
             try:
-                mix._cholesky  # factors the covariances once; scoring reuses the factor
+                mix._scoring_terms  # factors the covariances once; scoring reuses the factor
             except NumericalError as exc:
                 raise ValidationError(str(exc)) from exc
         return mix
@@ -443,21 +441,17 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Priors:
-    """Prior parameters, and the prior-only terms of the KL divergence."""
+    """Prior parameters, and kl0, the sum of the terms of KL(q || prior)
+    that depend on the priors alone."""
 
     alpha0: float
     beta0: float
     m0: np.ndarray               # data mean; the fit centres the rows on it
     a0: float                    # Gamma shape (spherical/diagonal)
     b0: np.ndarray               # Gamma rate: (1,) spherical, (D,) diagonal
-    gammaln_j_alpha0: float      # gammaln(J * alpha0)
-    j_gammaln_alpha0: float      # J * gammaln(alpha0)
-    gammaln_a0: float
-    log_b0: np.ndarray
+    kl0: float
     nu0: float | None = None     # Wishart dof (full)
-    w0_inv: np.ndarray | None = None  # diagonal: np.diag(w0_diag)
-    w0_diag: np.ndarray | None = None
-    log_b_p: float | None = None  # log normaliser of the Wishart prior
+    w0_diag: np.ndarray | None = None  # the diagonal of the Wishart prior's W0^-1
 
 
 def _alpha0(config: BgmmConfig) -> float:
@@ -466,18 +460,25 @@ def _alpha0(config: BgmmConfig) -> float:
 
 
 @cache
-def _prior_gammaln(config: BgmmConfig, d: int) -> tuple[float, float, float, float]:
-    """The log Gamma terms of the prior, which depend on the config and D
-    alone: gammaln(J alpha0), J gammaln(alpha0), gammaln(a0), and (full)
-    the sum of the Wishart prior's gammaln((nu0 + 1 - i) / 2), i = 1..D."""
+def _prior_kl0(config: BgmmConfig, d: int) -> float:
+    """The part of kl0 that depends on the config and D alone (see
+    _resolve_priors): the Dirichlet J gammaln(alpha0) - gammaln(J alpha0),
+    and gammaln(a0) per Gamma prior or, full, per component minus the
+    Wishart prior's log normaliser without its log det W0 term."""
     alpha0, a0, j = _alpha0(config), config.precision_prior_shape, config.max_components
     nu0 = d + a0   # Wishart prior dof (full)
     wishart_arg = 0.5 * (nu0 + 1 - np.arange(1, d + 1)) if config.covariance_type == "full" else ()
     _, lg = _digamma_gammaln(np.array([j * alpha0, alpha0, a0, *wishart_arg]))
-    return lg[0], j * lg[1], lg[2], lg[3:].sum()
+    kl0 = j * lg[1] - lg[0]
+    if config.covariance_type == "full":
+        return kl0 + j * (0.5 * nu0 * d * LOG_2 + 0.25 * d * (d - 1) * LOG_PI + lg[3:].sum())
+    return kl0 + j * (d if config.covariance_type == "diagonal" else 1) * lg[2]
 
 
 def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
+    """The priors of a fit to X. kl0 is _prior_kl0 plus, per component, the
+    terms set by the prior rates: -a0 log b0 summed over the Gamma rates or,
+    full, -nu0/2 log det W0^-1."""
     n, d = X.shape
     alpha0 = _alpha0(config)
     m0 = X.mean(axis=0)
@@ -488,19 +489,17 @@ def _resolve_priors(X: np.ndarray, config: BgmmConfig) -> _Priors:
     else:
         rate = emp_var
     b0 = rate.mean(keepdims=True) if config.covariance_type == "spherical" else rate
-    gammaln_j_alpha0, j_gammaln_alpha0, gammaln_a0, wishart_gammaln = _prior_gammaln(config, d)
     pri = _Priors(alpha0=alpha0, beta0=config.mean_prior_strength, m0=m0, a0=a0, b0=b0,
-                  gammaln_j_alpha0=gammaln_j_alpha0, j_gammaln_alpha0=j_gammaln_alpha0,
-                  gammaln_a0=gammaln_a0, log_b0=np.log(b0))
-    if config.covariance_type == "full":
+                  kl0=_prior_kl0(config, d))
+    if config.covariance_type != "full":
+        rate_term = a0 * np.sum(np.log(b0))
+    else:
         nu0 = d + a0   # Wishart prior dof
         # Wishart prior matching E[precision] = 1/rate per dimension
         pri.nu0 = nu0
         pri.w0_diag = nu0 * rate
-        pri.w0_inv = np.diag(nu0 * rate)
-        w0_logdet = -float(np.sum(np.log(nu0 * rate)))
-        pri.log_b_p = -0.5 * nu0 * w0_logdet - 0.5 * nu0 * d * LOG_2 \
-            - 0.25 * d * (d - 1) * LOG_PI - wishart_gammaln
+        rate_term = 0.5 * nu0 * np.sum(np.log(pri.w0_diag))
+    pri.kl0 -= config.max_components * float(rate_term)
     return pri
 
 
@@ -561,8 +560,10 @@ def _m_step(X: np.ndarray, x2: np.ndarray, pri: _Priors, state: VariationalState
         state.rate = pri.b0 + 0.5 * scatter
     else:
         state.dof = pri.nu0 + nk
-        w_inv = pri.w0_inv + (resp_t[..., None] * X).swapaxes(2, 3) @ X \
-            - beta[..., None, None] * (m[..., :, None] * m[..., None, :])
+        w_inv = (resp_t[..., None] * X).swapaxes(2, 3) @ X
+        diag = np.arange(d)
+        w_inv[..., diag, diag] += pri.w0_diag   # W0^-1 is diagonal
+        w_inv -= beta[..., None, None] * (m[..., :, None] * m[..., None, :])
         state.w_inv = 0.5 * (w_inv + w_inv.swapaxes(2, 3))
 
 
@@ -595,9 +596,7 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
     psi, lg = _digamma_gammaln(
         np.concatenate((alpha, alpha_sum[:, None], gamma_arg.reshape(c, -1)), axis=1))
     elog_pi = psi[:, :j] - psi[:, j, None]
-    kl = lg[:, j] - pri.gammaln_j_alpha0 \
-        + pri.j_gammaln_alpha0 - lg[:, :j].sum(axis=1) \
-        + ((alpha - pri.alpha0) * elog_pi).sum(axis=1)
+    kl = pri.kl0 + lg[:, j] - lg[:, :j].sum(axis=1) + ((alpha - pri.alpha0) * elog_pi).sum(axis=1)
 
     if state.covariance_type != "full":
         a, b = state.shape, state.rate
@@ -614,8 +613,7 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
         kl += (d * (0.5 * np.log(beta / pri.beta0) - 0.5)
                + 0.5 * pri.beta0 * (prec_m2 + d_beta)).sum(axis=1)
         kl += ((a[..., None] - pri.a0) * digamma_a[..., None]
-               - gammaln_a[..., None] + pri.gammaln_a0
-               + pri.a0 * (log_b - pri.log_b0)
+               - gammaln_a[..., None] + pri.a0 * log_b
                + a[..., None] * (pri.b0 - b) / b).reshape(c, -1).sum(axis=1)
     else:
         # from one factor C = chol(w_inv), scale W = C^-T C^-1: log det W = -2 sum(log diag C),
@@ -631,7 +629,7 @@ def _e_step(X: np.ndarray, x2: np.ndarray, pri: _Priors,
             + 0.5 * pri.beta0 * (nu * (proj_m ** 2).sum(axis=2) + d_beta)
         log_b_q = -0.5 * nu * logdet_w - 0.5 * nu * d * LOG_2 \
             - 0.25 * d * (d - 1) * LOG_PI - gammaln_sum
-        wishart_kl = log_b_q - pri.log_b_p + 0.5 * (nu - pri.nu0) * elog_det \
+        wishart_kl = log_b_q + 0.5 * (nu - pri.nu0) * elog_det \
             + 0.5 * nu * ((pri.w0_diag * (low_inv ** 2).sum(axis=2)).sum(axis=2) - d)
         kl += (mean_kl + wishart_kl).sum(axis=1)
     return elog_pi[:, None, :] + log_dens, kl
@@ -825,7 +823,7 @@ def _component_log_density(mix: FittedMixture, X: np.ndarray) -> np.ndarray:
     on the mixture alone is computed once per mixture
     (FittedMixture._scoring_terms).
     """
-    ref, *terms, const = mix._scoring_terms
+    ref, *terms, const, _ = mix._scoring_terms
     xc = X - ref
     quad = _quad(xc, *terms) if mix.covariance_type == "full" else _diag_quad(xc, xc ** 2, *terms)
     return -0.5 * (const[None, :] + quad)
@@ -836,7 +834,7 @@ def log_likelihood_batch(mix: FittedMixture, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != mix.dim:
         raise ValidationError(f"shape mismatch: got {X.shape}, mixture expects rows of {mix.dim}")
-    scores = _component_log_density(mix, X) + mix._log_weights[None, :]
+    scores = _component_log_density(mix, X) + mix._scoring_terms[-1][None, :]
     with np.errstate(all="ignore"):
         return _logsumexp(scores)
 

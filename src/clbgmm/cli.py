@@ -214,7 +214,7 @@ def cmd_inspect(args) -> int:
         except KeyError as exc:
             raise ValidationError(f"malformed results file {args.results}: "
                                   f"class {label!r} metadata missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed results file {args.results}: "
                                   f"class {label!r} metadata: {exc}") from exc
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)

@@ -346,5 +346,5 @@ def load_run_result(path) -> RunResult:
         raise ValidationError(f"malformed results file {path}: missing {exc}") from exc
     except (TypeError, AttributeError) as exc:  # e.g. a list where an object belongs
         raise ValidationError(f"malformed results file {path}: wrong type: {exc}") from exc
-    except (ValueError, ValidationError) as exc:
+    except (ValueError, OverflowError, ValidationError) as exc:
         raise ValidationError(f"malformed results file {path}: {exc}") from exc

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -53,6 +54,9 @@ class TestConfig:
         {"max_components": "x"}, {"max_components": 2.0}, {"covariance_type": 1},
         {"variance_floor": True}, {"weight_concentration_prior": "x"}, {"elbo_tolerance": None},
         {"bogus": 1},
+        # integers that no float can hold ended in an OverflowError or a TypeError
+        {"max_components": 10 ** 400}, {"mean_prior_strength": 10 ** 400},
+        {"variance_floor": 10 ** 400}, {"precision_prior_rate": 10 ** 400},
     ])
     def test_from_dict_names_bad_setting(self, setting):
         with pytest.raises(ValidationError, match=repr(next(iter(setting)))):
@@ -756,7 +760,7 @@ def _loop_m_step(X, resp, pri, state):
     for k in range(j):
         xc = X - xbar[k]
         scatter = (resp[:, k][:, None] * xc).T @ xc
-        w_inv = pri.w0_inv + scatter + shrink[k] * np.outer(dev[k], dev[k])
+        w_inv = np.diag(pri.w0_diag) + scatter + shrink[k] * np.outer(dev[k], dev[k])
         state.w_inv[k] = 0.5 * (w_inv + w_inv.T)
         low = cholesky(state.w_inv[k], lower=True)
         w = cho_solve((low, True), np.eye(d))
@@ -802,12 +806,12 @@ def _loop_kl_terms(pri, state, scale):
         log_b_q = -0.5 * nu[k] * logdet_w - 0.5 * nu[k] * d * np.log(2.0) \
             - 0.25 * d * (d - 1) * np.log(np.pi) \
             - np.sum(gammaln(0.5 * (nu[k] + 1 - idx)))
-        w0_logdet = -np.linalg.slogdet(pri.w0_inv)[1]
+        w0_logdet = -np.linalg.slogdet(np.diag(pri.w0_diag))[1]
         log_b_p = -0.5 * pri.nu0 * w0_logdet - 0.5 * pri.nu0 * d * np.log(2.0) \
             - 0.25 * d * (d - 1) * np.log(np.pi) \
             - np.sum(gammaln(0.5 * (pri.nu0 + 1 - idx)))
         kl += log_b_q - log_b_p + 0.5 * (nu[k] - pri.nu0) * elog_det \
-            + 0.5 * nu[k] * (np.trace(pri.w0_inv @ w[k]) - d)
+            + 0.5 * nu[k] * (np.trace(np.diag(pri.w0_diag) @ w[k]) - d)
     return float(kl)
 
 
@@ -1113,6 +1117,49 @@ class TestShiftInvariance:
         assert abs(spread.var() - 1.0) < 0.1
 
 
+def three_clusters(seed):
+    """300x8: three clusters of 100 rows, each column scaled."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 6.0, size=(3, 8))
+    return np.vstack([c + rng.normal(size=(100, 8)) * rng.uniform(0.5, 2.0, 8) for c in centers])
+
+
+@functools.cache
+def _fit_outline(ct, seed, scale=1.0, offset=(0.0,) * 8):
+    """Row labels (the argmax of the responsibilities), trace length and
+    final bound of a default fit of scale * three_clusters(seed) + offset."""
+    X = scale * three_clusters(seed) + np.array(offset)
+    _, state = fit(X, BgmmConfig(covariance_type=ct), seed=0)
+    return state.responsibilities.argmax(axis=1).tolist(), len(state.elbo_trace), state.elbo_trace[-1]
+
+
+def _assert_equivariant(ct, seed, scale, offset):
+    """A fit of s X + c is the fit of X in other units: the priors are set
+    from the data (its mean and per-dimension variances), so the labels and
+    the trace length stay, and the bound moves by the log Jacobian -N D ln s."""
+    labels, length, elbo = _fit_outline(ct, seed)
+    moved_labels, moved_length, moved_elbo = _fit_outline(ct, seed, scale, tuple(offset))
+    assert moved_labels == labels
+    assert moved_length == length
+    assert moved_elbo == pytest.approx(elbo - 300 * 8 * math.log(scale), rel=0, abs=1e-7)
+
+
+class TestEquivariance:
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 3), scale=st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e),
+           offset=st.lists(st.floats(-1e4, 1e4), min_size=8, max_size=8))
+    def test_fit_of_scaled_and_shifted_data(self, ct, seed, scale, offset):
+        _assert_equivariant(ct, seed, scale, offset)
+
+    @pytest.mark.xfail(strict=True, reason="_resolve_priors floors the prior rate at the "
+                       "absolute variance_floor (1e-6), which the variances of 1e-4 X are below")
+    @pytest.mark.parametrize("ct", ["spherical", "diagonal", "full"])
+    def test_fit_at_scale_1e_minus_4(self, ct):
+        for seed in range(4):
+            _assert_equivariant(ct, seed, 1e-4, [0.0] * 8)
+
+
 # The diagonal/spherical per-class iteration as it was before each term was
 # computed once per fit or iteration (X ** 2 every iteration, digamma and
 # log(rate) recomputed in the KL term, prior-only terms every iteration,
@@ -1390,3 +1437,14 @@ class TestInitResponsibilities:
             got = bgmm._init_responsibilities(X, j, np.random.default_rng(seed))
             ref = _broadcast_init_responsibilities(X, j, np.random.default_rng(seed))
             assert np.array_equal(got, ref), (kind, case)
+
+    def test_ignores_row_order(self):
+        # the first center is the row nearest a probe drawn in the bounding
+        # box, which no permutation of the rows moves
+        rng = np.random.default_rng(6)
+        for seed in range(20):
+            X = rng.normal(0.0, 3.0, (200, 5))
+            perm = rng.permutation(200)
+            got = bgmm._init_responsibilities(X[perm], 10, np.random.default_rng(seed))
+            ref = bgmm._init_responsibilities(X, 10, np.random.default_rng(seed))
+            assert np.array_equal(got, ref[perm]), seed

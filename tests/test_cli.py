@@ -147,6 +147,13 @@ MALFORMED_MANIFESTS = {
     "variance_floor=Infinity": lambda m: m["bgmm"].__setitem__("variance_floor", float("inf")),
     "weight_concentration_prior=Infinity": lambda m: m["bgmm"].__setitem__(
         "weight_concentration_prior", float("inf")),
+    # integers that no float can hold ended in an OverflowError or a TypeError (exit 1)
+    "max_components=10**400": lambda m: m["bgmm"].__setitem__("max_components", 10 ** 400),
+    "mean_prior_strength=10**400": lambda m: m["bgmm"].__setitem__(
+        "mean_prior_strength", 10 ** 400),
+    "variance_floor=10**400": lambda m: m["bgmm"].__setitem__("variance_floor", 10 ** 400),
+    "precision_prior_rate=10**400": lambda m: m["bgmm"].__setitem__(
+        "precision_prior_rate", 10 ** 400),
 }
 
 
@@ -506,6 +513,11 @@ MALFORMED_RESULTS = {
     "mod_b normalizer not null": lambda doc: _normalizers(doc).__setitem__(
         "mod_b", _normalizers(doc)["mod_a"]),
     "no mod_b normalizer": lambda doc: _normalizers(doc).pop("mod_b"),
+    # integers that no float can hold ended in an OverflowError (exit 1)
+    "accuracy=10**400": lambda doc: doc["accuracy_matrix"][0].__setitem__(0, 10 ** 400),
+    "means=[[10**400, ...]]": lambda doc: _first_model(doc)["means"][0].__setitem__(0, 10 ** 400),
+    "mod_a per_dim_max=[10**400, ...]": lambda doc: _normalizers(doc)["mod_a"][
+        "per_dim_max"].__setitem__(0, 10 ** 400),
 }
 
 
@@ -828,6 +840,14 @@ class TestInspect:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: malformed results file {path}: class ")
         assert "missing 'iterations'" in captured.err
+
+    def test_final_elbo_beyond_a_float_exits_2(self, results_file, tmp_path, capsys):
+        # it ended in an OverflowError (exit 1)
+        path = self.rewrite(results_file, tmp_path,
+                            lambda meta: meta.__setitem__("final_elbo", 10 ** 400))
+        code, captured = self.inspect(path, capsys)
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: malformed results file {path}: class ")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, captured = self.inspect(tmp_path / "absent.json", capsys)
