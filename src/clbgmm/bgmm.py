@@ -58,7 +58,7 @@ import numpy as np
 # module, not inside the first fit
 import numpy.random  # noqa: F401
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, is_integer, is_number
 
 COVARIANCE_TYPES = ("spherical", "diagonal", "full")
 
@@ -79,7 +79,7 @@ class BgmmConfig:
 
     weight_concentration_prior defaults to 1/max_components; a
     precision_prior_rate of None means "empirical per-dimension variance",
-    resolved against the data at fit time.
+    resolved against the data at fit time. A config checks itself when built.
     """
 
     max_components: int = 10
@@ -94,7 +94,7 @@ class BgmmConfig:
     prune_threshold: float = 1e-2
     n_restarts: int = 1
 
-    def validate(self) -> "BgmmConfig":
+    def __post_init__(self):
         for name, value in vars(self).items():
             if isinstance(value, int) and abs(value) > sys.float_info.max:
                 raise ValidationError(f"bgmm setting {name!r} is beyond the range of a float")
@@ -112,15 +112,14 @@ class BgmmConfig:
             raise ValidationError("max_iterations and n_restarts must be >= 1")
         if not (0.0 < self.prune_threshold < 1.0):
             raise ValidationError("prune_threshold must lie in (0, 1)")
-        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BgmmConfig":
-        """Build and validate a config; an unknown key or a value of the
-        wrong type raises ValidationError naming the setting."""
+        """Build a config; an unknown key or a value of the wrong type or
+        range raises ValidationError naming the setting."""
         defaults = {f.name: f.default for f in fields(BgmmConfig)}
         for name, value in d.items():
             if name not in defaults:
@@ -129,14 +128,12 @@ class BgmmConfig:
             if isinstance(default, str):
                 ok, expected = isinstance(value, str), "a string"
             elif isinstance(default, int):
-                ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+                ok, expected = is_integer(value), "an integer"
             else:  # a float, or None for a value derived from the data
-                ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                      or value is None and default is None)
-                expected = "a number"
+                ok, expected = is_number(value) or value is None and default is None, "a number"
             if not ok:
                 raise ValidationError(f"bgmm setting {name!r} must be {expected}, got {value!r}")
-        return BgmmConfig(**d).validate()
+        return BgmmConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -737,6 +734,21 @@ def _fit_once(X: np.ndarray, x2: np.ndarray, config: BgmmConfig, pri: _Priors,
     return _take(state, 0)
 
 
+# the fit metadata that _plug_in writes: key -> (check, what it requires)
+_COUNT = (lambda v: is_integer(v) and v >= 0, "an integer >= 0")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+FIT_METADATA = {
+    "final_elbo": (lambda v: is_number(v) and abs(v) <= sys.float_info.max, "a finite number"),
+    "iterations": (lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
+    "merges": _COUNT,
+    "components_pruned": _COUNT,
+    "seed": (is_integer, "an integer"),
+    "restart": _COUNT,
+    "converged": _FLAG,
+    "all_pruned_fallback": _FLAG,
+}
+
+
 def _plug_in(state: VariationalState, config: BgmmConfig, pri: _Priors,
              seed: int, restart: int) -> FittedMixture:
     """Prune the state and return its posterior-mean mixture: weights
@@ -790,7 +802,6 @@ def fit(data, config: BgmmConfig, seed: int):
     Floating-point warnings are silenced: a fit that overflows raises
     NumericalError from its finite checks instead.
     """
-    config.validate()
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or 0 in X.shape:
         raise ValidationError(f"data must be a non-empty (N, D) matrix, got shape {X.shape}")

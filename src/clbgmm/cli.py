@@ -1,11 +1,11 @@
 """Command-line entry point: a thin shell over the library.
 
-Subcommands: synth (write a seeded synthetic dataset + manifest with
-absolute paths), run (execute a manifest across its seeds), metrics
-(recompute the metric series from a results file), oracle (union accuracy
-of two runs), report (plot-ready CSV series), inspect (one CSV row of fit
-metadata per class of a results file). The library owns every file format
-and setting: ``dataset`` the manifest and CSV layouts and the synthetic
+Subcommands: synth (write a seeded synthetic dataset + manifest with absolute
+paths), run (execute a manifest across its seeds), metrics (recompute the
+metric series from a results file), oracle (union accuracy of two runs),
+report (plot-ready CSV series), inspect (one CSV row per class of the fit
+metadata, which loading checks). The library owns every file format, setting
+and check: ``dataset`` the manifest and CSV layouts and the synthetic
 generator's defaults, ``protocol`` the result and aggregate files,
 ``metrics`` the accuracy formula. Exit codes: 0 success, 2 input/validation
 error (including a file that is not UTF-8 text), 3 numerical failure.
@@ -78,9 +78,9 @@ def cmd_run(args) -> int:
         load_feature_table(spec.path, spec.dim, spec.name)
         for spec in manifest.modalities
     ]
-    results, agg = multi_seed(manifest, tables)
     out_base = Path(args.out) if args.out else Path(manifest.output_path)
-    out_base.parent.mkdir(parents=True, exist_ok=True)
+    out_base.parent.mkdir(parents=True, exist_ok=True)  # before the first fit
+    results, agg = multi_seed(manifest, tables)
     for result in results:
         save_run_result(result, f"{out_base}_seed{result.seed}.json")
     save_aggregate(agg, f"{out_base}_aggregate.json")
@@ -200,23 +200,13 @@ def cmd_report(args) -> int:
 
 def cmd_inspect(args) -> int:
     result = load_run_result(args.results)
-    rows = [["class", "iterations", "merges", "converged", "components_kept",
-             "components_pruned", "all_pruned_fallback", "final_elbo"]]
+    keys = ["iterations", "merges", "converged", "components_kept", "components_pruned",
+            "all_pruned_fallback", "final_elbo"]
+    rows = [["class", *keys]]
     for label, mixture in result.ensemble.models.items():
-        meta = mixture.metadata
-        try:
-            # each value as the file holds it; merges is absent from files
-            # written before merge moves
-            rows.append([label, meta["iterations"], meta.get("merges", ""),
-                         json.dumps(meta["converged"]), mixture.n_components,
-                         meta["components_pruned"], json.dumps(meta["all_pruned_fallback"]),
-                         repr(float(meta["final_elbo"]))])
-        except KeyError as exc:
-            raise ValidationError(f"malformed results file {args.results}: "
-                                  f"class {label!r} metadata missing {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed results file {args.results}: "
-                                  f"class {label!r} metadata: {exc}") from exc
+        meta = {**mixture.metadata, "components_kept": mixture.n_components}
+        # as JSON, as the file holds them; merges is absent from files written before merge moves
+        rows.append([label] + [json.dumps(meta[key]) if key in meta else "" for key in keys])
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return EXIT_OK
 

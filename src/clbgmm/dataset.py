@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bgmm import BgmmConfig
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,11 @@ class ExperimentManifest:
             raise ValidationError(f"unsupported fusion strategy {self.fusion_strategy!r}")
         if not self.seeds:
             raise ValidationError("manifest needs at least one seed")
-        for seed in self.seeds:
+        for i, seed in enumerate(self.seeds):
             if self.seeds.count(seed) > 1:
                 raise ValidationError(f"seed {seed} is listed more than once")
+            if not -2 ** 63 <= seed < 2 ** 63:  # it names a result file: 64 bits at most
+                raise ValidationError(f"seeds[{i}] must lie in [-2**63, 2**63), got {seed}")
 
     @property
     def class_tasks(self) -> dict:
@@ -201,7 +203,7 @@ def _known(entry: dict, keys: tuple, where: str = "") -> dict:
 
 def _as_int(value, field: str) -> int:
     """A JSON integer; a float, string or boolean is not truncated or cast."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise ValidationError(f"manifest field {field!r} must be an integer, got {value!r}")
     return value
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bgmm import BgmmConfig, FittedMixture, fit, log_likelihood_batch
+from .bgmm import FIT_METADATA, BgmmConfig, FittedMixture, fit, log_likelihood_batch
 from .dataset import ExperimentManifest, TaskBatch
-from .errors import ValidationError
+from .errors import ValidationError, is_integer
 from .fusion import FusionPipeline
 
 logger = logging.getLogger("clbgmm")
@@ -58,28 +58,35 @@ class ClassConditionalEnsemble:
         older files hold are ignored. Raises ValidationError unless the
         fusion normalizers pass ``FusionPipeline.from_dict``, there is one
         model and one positive integer training count per configured class,
-        and every model spans the fused dim."""
+        and every model spans the fused dim and passes FIT_METADATA."""
         classes = manifest.class_tasks
         fusion = FusionPipeline.from_dict(d["fusion"], manifest.modalities)
         counts = d["class_train_counts"]
         if not (isinstance(counts, dict) and set(counts) == set(classes)
-                and all(type(n) is int and n > 0 for n in counts.values())):
+                and all(is_integer(n) and n > 0 for n in counts.values())):
             raise ValidationError("class_train_counts must give each configured class "
                                   "a positive integer")
         ens = ClassConditionalEnsemble(fusion=fusion, use_class_priors=manifest.use_class_priors,
                                        class_train_counts=dict(counts))
         fused_dim = sum(spec.dim for spec in manifest.modalities)
         for label, mix_dict in d["models"]:
-            if label not in classes or label in ens.models:
-                raise ValidationError(f"model of class {label!r}: not a configured class, "
-                                      "or stored twice")
             try:
+                if label not in classes or label in ens.models:
+                    raise ValidationError("not a configured class, or stored twice")
                 mixture = ens.models[label] = FittedMixture.from_dict(mix_dict)
+                meta = mixture.metadata
+                for key, (valid, expected) in FIT_METADATA.items():
+                    if key not in meta and key != "merges":  # older files have no merges
+                        raise ValidationError(f"fit metadata missing {key!r}")
+                    if key in meta and not valid(meta[key]):
+                        raise ValidationError(f"fit metadata {key!r} must be {expected}, "
+                                              f"got {meta[key]!r}")
+                meta["final_elbo"] = float(meta["final_elbo"])
+                if mixture.dim != fused_dim:
+                    raise ValidationError(f"the model has dim {mixture.dim}, "
+                                          f"the fused features {fused_dim}")
             except ValidationError as exc:
                 raise ValidationError(f"class {label!r}: {exc}") from exc
-            if mixture.dim != fused_dim:
-                raise ValidationError(f"class {label!r}: the model has dim {mixture.dim}, "
-                                      f"the fused features {fused_dim}")
         if len(ens.models) != len(classes):
             missing = next(label for label in classes if label not in ens.models)
             raise ValidationError(f"no model of class {missing!r}")

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy and JSON type tests shared across the toolkit."""
 
 
 class ClbgmmError(Exception):
@@ -11,3 +11,11 @@ class ValidationError(ClbgmmError):
 
 class NumericalError(ClbgmmError):
     """Numerical failure during model fitting or scoring."""
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -1,9 +1,9 @@
 """The fusion pipeline: per-modality min-max normalization and feature concatenation.
 
-``FusionPipeline`` fits, applies, stores and checks the normalizers. They
-are fitted once on the first task's training data and then frozen, so later
-tasks may produce values outside the fitted range; those are clamped into
-[0, 1]. Everything works on whole (N, D) matrices.
+``FusionPipeline`` fits, applies and stores the normalizers, which check
+their bounds when built. They are fitted once on the first task's training
+data and then frozen; later values outside the fitted range are clamped
+into [0, 1]. Everything works on whole (N, D) matrices.
 """
 
 from __future__ import annotations
@@ -17,10 +17,19 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class MinMaxNormalizer:
-    """Frozen componentwise min-max scaling statistics."""
+    """Frozen min-max bounds: finite float64 vectors of one length, min <= max."""
 
     per_dim_min: np.ndarray
     per_dim_max: np.ndarray
+
+    def __post_init__(self):
+        low, high = (np.asarray(b, np.float64) for b in (self.per_dim_min, self.per_dim_max))
+        if not (low.ndim == 1 and low.shape == high.shape
+                and (np.isfinite(low) & np.isfinite(high) & (low <= high)).all()):
+            raise ValidationError("per_dim_min and per_dim_max must be finite vectors of one "
+                                  "length, with min <= max")
+        object.__setattr__(self, "per_dim_min", low)
+        object.__setattr__(self, "per_dim_max", high)
 
     def to_dict(self) -> dict:
         return {
@@ -31,10 +40,7 @@ class MinMaxNormalizer:
     @staticmethod
     def from_dict(d: dict) -> "MinMaxNormalizer":
         """Rebuild a normalizer; the fitted_on key of older files is ignored."""
-        return MinMaxNormalizer(
-            per_dim_min=np.asarray(d["per_dim_min"], dtype=np.float64),
-            per_dim_max=np.asarray(d["per_dim_max"], dtype=np.float64),
-        )
+        return MinMaxNormalizer(d["per_dim_min"], d["per_dim_max"])
 
 
 def fit_normalizer(vectors) -> MinMaxNormalizer:
@@ -98,19 +104,21 @@ class FusionPipeline:
     @staticmethod
     def from_dict(d: dict, modalities) -> "FusionPipeline":
         """Rebuild the pipeline of a run over the modality specs; raises
-        ValidationError unless there is a normalizer exactly for each
-        normalized modality, of the modality's dim."""
+        ValidationError, naming the modality, unless each normalized modality
+        and no other has a normalizer, which is valid and of its dim."""
         normalizers = dict.fromkeys(spec.name for spec in modalities)
         stored = d["normalizers"]
         if not isinstance(stored, dict) or set(stored) != set(normalizers):
             raise ValidationError("fusion normalizers must be keyed by the configured modalities")
         for spec in modalities:
-            if (stored[spec.name] is not None) != spec.normalize:
-                raise ValidationError(f"modality {spec.name!r}: a normalizer must be stored "
-                                      "exactly when normalize is true")
-            if spec.normalize:
-                norm = normalizers[spec.name] = MinMaxNormalizer.from_dict(stored[spec.name])
-                if not norm.per_dim_min.shape == norm.per_dim_max.shape == (spec.dim,):
-                    raise ValidationError(f"modality {spec.name!r}: the normalizer needs "
-                                          f"{spec.dim} per_dim_min and per_dim_max values")
+            try:
+                if (stored[spec.name] is not None) != spec.normalize:
+                    raise ValidationError("must be stored exactly when normalize is true")
+                if spec.normalize:
+                    norm = normalizers[spec.name] = MinMaxNormalizer.from_dict(stored[spec.name])
+                    if norm.per_dim_min.shape != (spec.dim,):
+                        raise ValidationError(f"needs {spec.dim} values in per_dim_min and per_dim_max")
+            except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+                what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+                raise ValidationError(f"modality {spec.name!r} normalizer: {what}") from exc
         return FusionPipeline(normalizers)

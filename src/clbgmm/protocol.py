@@ -24,17 +24,9 @@ import numpy as np
 from .dataset import (DataSplit, ExperimentManifest, TaskBatch, build_task_sequence,
                       manifest_from_dict, manifest_to_dict, read_utf8)
 from .ensemble import ClassConditionalEnsemble, predict_batch, train_task
-from .errors import ValidationError
+from .errors import ValidationError, is_integer, is_number
 from .fusion import FusionPipeline
 from .metrics import AccuracyMatrix, MetricsReport, accuracy, compute_report
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _list_of(values, n: int, valid) -> bool:
@@ -95,18 +87,18 @@ class RunResult:
         except ValidationError as exc:
             raise ValidationError(f"config: {exc}") from exc
         seed = d["seed"]
-        if not _is_integer(seed):
+        if not is_integer(seed):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         entries = d["accuracy_matrix"]
-        if not all(isinstance(row, list) and all(map(_is_number, row)) for row in entries):
+        if not all(isinstance(row, list) and all(map(is_number, row)) for row in entries):
             raise ValueError("accuracy_matrix entries must be numbers")
         matrix = AccuracyMatrix.from_rows(entries, [task.name for task in manifest.tasks])
         t = matrix.n_tasks
         sizes = d["per_task_test_sizes"]
-        if not _list_of(sizes, t, lambda s: _is_integer(s) and s > 0):
+        if not _list_of(sizes, t, lambda s: is_integer(s) and s > 0):
             raise ValueError(f"per_task_test_sizes must be {t} positive integers")
         refs = d.get("joint_reference")
-        if refs is not None and not _list_of(refs, t, lambda a: _is_number(a) and 0.0 <= a <= 1.0):
+        if refs is not None and not _list_of(refs, t, lambda a: is_number(a) and 0.0 <= a <= 1.0):
             raise ValueError(f"joint_reference must be null or {t} numbers in [0, 1]")
         class_tasks = manifest.class_tasks
         if "predictions" in d or "per_task_predictions" not in d:

@@ -40,11 +40,11 @@ def two_cluster_data(seed=0, n=100, centers=((0.0, 0.0), (10.0, 10.0))):
 class TestConfig:
     def test_rejects_bad_covariance_type(self):
         with pytest.raises(ValidationError):
-            BgmmConfig(covariance_type="banana").validate()
+            BgmmConfig(covariance_type="banana")
 
     def test_rejects_nonpositive_floor(self):
         with pytest.raises(ValidationError):
-            BgmmConfig(variance_floor=0.0).validate()
+            BgmmConfig(variance_floor=0.0)
 
     def test_roundtrip(self):
         cfg = BgmmConfig(max_components=4, covariance_type="full")

@@ -154,6 +154,11 @@ MALFORMED_MANIFESTS = {
     "variance_floor=10**400": lambda m: m["bgmm"].__setitem__("variance_floor", 10 ** 400),
     "precision_prior_rate=10**400": lambda m: m["bgmm"].__setitem__(
         "precision_prior_rate", 10 ** 400),
+    # seeds outside 64 bits ran every fit: the first two exited 0, the last
+    # failed on a result-file name too long, naming no seed
+    "seeds[0]=2**63": lambda m: m.__setitem__("seeds", [2 ** 63]),
+    "seeds[0]=-(2**63)-1": lambda m: m.__setitem__("seeds", [-(2 ** 63) - 1]),
+    "seeds[0]=10**400": lambda m: m.__setitem__("seeds", [10 ** 400]),
 }
 
 
@@ -272,6 +277,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and field.split("=")[0] in err
         assert not list(tmp_path.glob("None_*.json"))
+
+    def test_output_directory_is_made_before_the_first_fit(self, synth_dir, tmp_path, capsys,
+                                                           monkeypatch):
+        # an --out under a regular file failed only after every fit
+        def fail(*args):
+            raise AssertionError("multi_seed ran")
+        monkeypatch.setattr("clbgmm.cli.multi_seed", fail)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub" / "run"
+        assert main(["run", "--manifest", str(synth_dir / "manifest.json"),
+                     "--out", str(out)]) == 2
+        assert "Not a directory" in capsys.readouterr().err
 
     def test_parse_error_names_the_manifest(self, tmp_path, capsys):
         bad = tmp_path / "bad_manifest.json"
@@ -518,6 +535,24 @@ MALFORMED_RESULTS = {
     "means=[[10**400, ...]]": lambda doc: _first_model(doc)["means"][0].__setitem__(0, 10 ** 400),
     "mod_a per_dim_max=[10**400, ...]": lambda doc: _normalizers(doc)["mod_a"][
         "per_dim_max"].__setitem__(0, 10 ** 400),
+    # normalizer bounds that are not finite, or swapped, loaded, and the
+    # reloaded ensemble scored task 1 below the run's own accuracy
+    "mod_a per_dim_min=[NaN, ...]": lambda doc: _normalizers(doc)["mod_a"][
+        "per_dim_min"].__setitem__(0, float("nan")),
+    "mod_a per_dim_max=[Infinity, ...]": lambda doc: _normalizers(doc)["mod_a"][
+        "per_dim_max"].__setitem__(0, float("inf")),
+    "mod_a bounds swapped": lambda doc: _normalizers(doc).__setitem__("mod_a", {
+        "per_dim_min": _normalizers(doc)["mod_a"]["per_dim_max"],
+        "per_dim_max": _normalizers(doc)["mod_a"]["per_dim_min"]}),
+    # fit metadata of the wrong type or range loaded, and inspect printed it
+    "iterations='many'": lambda doc: _first_model(doc)["metadata"].__setitem__(
+        "iterations", "many"),
+    "converged='yes'": lambda doc: _first_model(doc)["metadata"].__setitem__("converged", "yes"),
+    "final_elbo=NaN": lambda doc: _first_model(doc)["metadata"].__setitem__(
+        "final_elbo", float("nan")),
+    "components_pruned=-4": lambda doc: _first_model(doc)["metadata"].__setitem__(
+        "components_pruned", -4),
+    "merges=[1, 2]": lambda doc: _first_model(doc)["metadata"].__setitem__("merges", [1, 2]),
 }
 
 
@@ -848,6 +883,16 @@ class TestInspect:
         code, captured = self.inspect(path, capsys)
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: malformed results file {path}: class ")
+
+    def test_bad_converged_value_exits_2(self, results_file, tmp_path, capsys):
+        # it was printed as "yes" with exit 0
+        path = self.rewrite(results_file, tmp_path,
+                            lambda meta: meta.__setitem__("converged", "yes"))
+        label = json.loads(path.read_text())["ensembles"]["models"][0][0]
+        code, captured = self.inspect(path, capsys)
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: malformed results file {path}: class {label!r}: "
+                                "fit metadata 'converged' must be true or false, got 'yes'\n")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, captured = self.inspect(tmp_path / "absent.json", capsys)

@@ -137,3 +137,13 @@ class TestFusionPipeline:
         assert back.to_dict() == doc
         test = self.features(1, 7)
         assert np.array_equal(back.transform(test), pipeline.transform(test))
+
+    @pytest.mark.parametrize("low, high", [
+        ([float("nan")], [1.0]), ([0.0], [float("inf")]), ([2.0], [1.0]),
+        ([[0.0]], [[1.0]]), ([0.0, 1.0], [2.0]), (["x"], [1.0])],
+        ids=["NaN", "Infinity", "min > max", "(1, 1)", "two lengths", "string"])
+    def test_from_dict_names_the_modality_of_bad_bounds(self, low, high):
+        doc = FusionPipeline.fit(self.SPECS, self.features(0, 20)).to_dict()
+        doc["normalizers"]["m"] = {"per_dim_min": low, "per_dim_max": high}
+        with pytest.raises(ValidationError, match="^modality 'm' normalizer: "):
+            FusionPipeline.from_dict(doc, self.SPECS)
